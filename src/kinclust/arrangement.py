@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Literal
 
 from .geometry import TrajectorySet, crossing_time
@@ -43,9 +42,11 @@ class Hole:
 HoleSet = tuple
 
 
-@lru_cache(maxsize=256)
 def compute_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     """All faces of the arrangement, one Hole per face.
+
+    Computed once per instance and kept in its kernel; every later call on
+    the same instance returns the same tuple.
 
     Slab sweep: between consecutive crossing times the left-to-right order
     of the trajectories is constant, and the faces meeting the slab are
@@ -56,6 +57,13 @@ def compute_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     extent.  Zero-width slabs never arise (cuts are deduplicated) and every
     emitted face has positive area by construction.
     """
+    kernel = S.kernel
+    if kernel.holes is None:
+        kernel.holes = _sweep_holes(S)
+    return kernel.holes
+
+
+def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     n = len(S)
     if n == 0:
         raise ValueError("compute_holes of an empty trajectory set")
@@ -195,9 +203,22 @@ class SeparatorPoset:
         return tuple(edges)
 
 
-@lru_cache(maxsize=256)
 def build_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:
-    """Deduplicated side-sets of all holes under strict inclusion."""
+    """Deduplicated side-sets of all holes under strict inclusion.
+
+    When ``holes`` is the instance's own hole table (the very tuple
+    ``compute_holes(S)`` returns) the poset is built once and kept in the
+    instance's kernel; any other hole tuple gets a freshly built poset.
+    """
+    kernel = S.kernel
+    if kernel.holes is not None and holes is kernel.holes:
+        if kernel.poset is None:
+            kernel.poset = _inclusion_poset(S, holes)
+        return kernel.poset
+    return _inclusion_poset(S, holes)
+
+
+def _inclusion_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:
     full = S.all_indices()
     sets = set()
     for h in holes:

@@ -10,9 +10,11 @@ relies on is computed exactly and reproducibly.
 from __future__ import annotations
 
 import bisect
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Literal, Union
 
 Scalar = Fraction
@@ -27,20 +29,37 @@ Clustering = tuple
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Largest decimal exponent magnitude a scalar literal may carry.
+# Fraction("1e999999999") would build 10**999999999 digit by digit; the
+# bound matches CPython's default limit on the digits of a parsed int.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
+def _parse_scalar(text: str) -> Fraction:
+    match = _EXPONENT.search(text)
+    if match is not None:
+        digits = match[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+            raise ValueError(f"decimal exponent beyond +-{MAX_EXPONENT} in scalar literal")
+    return Fraction(text)
+
 
 def as_scalar(value: ScalarLike) -> Fraction:
     """Coerce an int, str, or Fraction to an exact Fraction.
 
     Strings may be decimal literals ("0.25", "-1.5e-2") or ratios ("3/4");
-    both parse exactly.  Floats are rejected on purpose: converting one
-    would bake binary rounding error into an otherwise exact pipeline.
+    both parse exactly.  A decimal exponent beyond MAX_EXPONENT in
+    magnitude raises ValueError instead of building a huge power of ten.
+    Floats are rejected on purpose: converting one would bake binary
+    rounding error into an otherwise exact pipeline.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return _parse_scalar(value)
     raise TypeError(f"expected Fraction, int, or str, got {type(value).__name__}")
 
 
@@ -80,7 +99,13 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TrajectorySet:
-    """Ordered, duplicate-free collection of trajectories with stable indices."""
+    """Ordered, duplicate-free collection of trajectories with stable indices.
+
+    The value is immutable.  Each instance also carries a ``kernel`` (see
+    SpanKernel), built on first use, that memoizes span areas, holes, and
+    the side-set poset for that instance alone; it is not a field, so
+    equality, hashing, repr, pickling, and copying ignore it.
+    """
 
     trajectories: tuple[Trajectory, ...]
 
@@ -108,12 +133,20 @@ class TrajectorySet:
     def all_indices(self) -> frozenset:
         return frozenset(range(len(self.trajectories)))
 
+    @cached_property
+    def kernel(self) -> "SpanKernel":
+        return SpanKernel(self.trajectories)
+
+    def __getstate__(self) -> dict:
+        # Pickles and copies carry the trajectories only, never the kernel.
+        return {"trajectories": self.trajectories}
+
 
 def as_cluster(indices: Iterable[int], n: int | None = None) -> frozenset:
     """Validate a collection of trajectory indices and freeze it."""
     cluster = frozenset(indices)
     for i in cluster:
-        if not isinstance(i, int) or isinstance(i, bool):
+        if type(i) is not int and (not isinstance(i, int) or isinstance(i, bool)):
             raise ValueError(f"cluster member {i!r} is not an integer index")
         if i < 0 or (n is not None and i >= n):
             raise ValueError(f"cluster index {i} out of range")
@@ -206,89 +239,146 @@ class Envelope:
         return x0 + (x1 - x0) * (t - t0) / (t1 - t0)
 
 
+def _upper_chain(lines: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The lines carrying max(a + v*t) over 0 <= t <= 1, in time order.
+
+    ``lines`` are distinct integer (v, a) pairs sorted by slope, then
+    intercept.  This is Andrew's monotone chain on the dual points (v, a):
+    a line stays only while it is strictly above its neighbours on an
+    interval of positive length, so lines through a common crossing
+    (pencils) and parallel lower lines drop out.  The chain is then
+    clipped to the lines that carry the maximum somewhere inside (0, 1),
+    which makes every breakpoint between consecutive lines lie strictly
+    between 0 and 1.
+    """
+    chain: list[tuple[int, int]] = []
+    for v, a in lines:
+        if chain and chain[-1][0] == v:
+            chain.pop()  # parallel and lower
+        while len(chain) >= 2:
+            v1, a1 = chain[-2]
+            v2, a2 = chain[-1]
+            # Drop line 2 unless it overtakes line 1 strictly before line 3 overtakes it.
+            if (a1 - a2) * (v - v2) < (a2 - a) * (v2 - v1):
+                break
+            chain.pop()
+        chain.append((v, a))
+    # Breakpoint j is at t = (a_j - a_j+1) / (v_j+1 - v_j), increasing in j.
+    lo, hi = 0, len(chain)
+    while lo + 1 < hi and chain[lo][1] <= chain[lo + 1][1]:  # at t <= 0
+        lo += 1
+    while lo + 1 < hi and sum(chain[hi - 2]) >= sum(chain[hi - 1]):  # at t >= 1
+        hi -= 1
+    return chain[lo:hi]
+
+
+def _mirrored(lines: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The lines of x -> -x, again sorted by slope, then intercept."""
+    return [(-v, -a) for v, a in reversed(lines)]
+
+
+class SpanKernel:
+    """Exact per-instance kernel of a TrajectorySet.
+
+    Member i moves along x(t) = (a + v*t) / den, where a = x0 * den and
+    v = (x1 - x0) * den are integers over the common denominator ``den``
+    of every coordinate.  ``lines`` holds the (v, a) pairs sorted by slope,
+    then intercept, and ``rank[i]`` is member i's place in that order, so a
+    cluster's lines come out sorted from a sort of small ints.
+
+    ``spans`` memoizes span areas by cluster; ``holes`` and ``poset`` hold
+    the arrangement's hole table and side-set poset once computed (see
+    ``arrangement``).  The kernel lives and dies with its instance.
+    """
+
+    __slots__ = ("den", "lines", "rank", "spans", "holes", "poset")
+
+    def __init__(self, trajectories: tuple[Trajectory, ...]) -> None:
+        den = math.lcm(*(x.denominator for s in trajectories for x in (s.x0, s.x1)))
+        ends = [
+            (s.x0.numerator * (den // s.x0.denominator), s.x1.numerator * (den // s.x1.denominator))
+            for s in trajectories
+        ]
+        raw = [(x1 - x0, x0) for x0, x1 in ends]
+        order = sorted(range(len(raw)), key=raw.__getitem__)
+        rank = [0] * len(raw)
+        for r, i in enumerate(order):
+            rank[i] = r
+        self.den = den
+        self.lines = tuple(raw[i] for i in order)
+        self.rank = tuple(rank)
+        self.spans: dict[frozenset, Fraction] = {}
+        self.holes = None
+        self.poset = None
+
+    def ordered(self, members: frozenset) -> list[tuple[int, int]]:
+        """The members' (v, a) lines, sorted by slope, then intercept."""
+        lines, rank = self.lines, self.rank
+        return [lines[r] for r in sorted([rank[i] for i in members])]
+
+    def span_area(self, members: frozenset) -> Fraction:
+        """Span area of a validated cluster with at least one member, memoized.
+
+        For a convex chain with breakpoints between lines (v1, a1) and
+        (v2, a2), integrating piece by piece and summing by parts gives
+        F(1) plus (a1 - a2)^2 / (2 (v2 - v1)) per breakpoint, where F is
+        the antiderivative a*t + v*t^2/2 of the line carrying t = 1.  The
+        span area is the integral of the upper chain of the lines plus that
+        of the upper chain of the mirrored lines, all over den.
+        """
+        area = self.spans.get(members)
+        if area is None:
+            ends = 0  # 2 F(1) of both chains, in units of 1/den
+            num, den = 0, 1  # sum of (a1 - a2)^2 / (v2 - v1) over the breakpoints
+            ordered = self.ordered(members)
+            for chain in (_upper_chain(ordered), _upper_chain(_mirrored(ordered))):
+                v, a = chain[-1]
+                ends += 2 * a + v
+                for (v1, a1), (v2, a2) in zip(chain, chain[1:]):
+                    dv, da = v2 - v1, a1 - a2
+                    g = math.gcd(den, dv)
+                    num = num * (dv // g) + da * da * (den // g)
+                    den = den // g * dv
+            area = self.spans[members] = Fraction(ends * den + num, 2 * self.den * den)
+        return area
+
+
 def envelope(S: TrajectorySet, C: Iterable[int], side: Side) -> Envelope:
     """Left (pointwise min) or right (pointwise max) side of the cluster's span.
 
     Breakpoints appear only where the boundary switches between member
     trajectories; switching members cross at the breakpoint, so consecutive
-    pieces always have distinct slopes.
+    pieces always have distinct slopes.  They come from the same convex
+    chain of lines that ``diameter`` integrates.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    members = sorted(as_cluster(C, len(S)))
+    members = as_cluster(C, len(S))
     if not members:
         raise ValueError("envelope of an empty cluster")
-    if len(members) == 1:
-        s = S[members[0]]
-        return Envelope(((_ZERO, s.x0), (_ONE, s.x1)))
-
-    cuts = {_ZERO, _ONE}
-    for ai in range(len(members)):
-        for bi in range(ai + 1, len(members)):
-            t = crossing_time(S[members[ai]], S[members[bi]])
-            if t is not None and _ZERO < t < _ONE:
-                cuts.add(t)
-    grid = sorted(cuts)
-
-    pick = min if side == "left" else max
-
-    def boundary(t: Fraction) -> Fraction:
-        return pick(S[i].x0 + S[i].velocity * t for i in members)
-
-    # Within each open slab the boundary is carried by a single member
-    # (crossings only happen at the cuts), identified at the slab midpoint.
-    actives = []
-    for lo, hi in zip(grid, grid[1:]):
-        mid = (lo + hi) / 2
-        actives.append(pick(members, key=lambda i: S[i].x0 + S[i].velocity * mid))
-
-    points = [(grid[0], boundary(grid[0]))]
-    for k in range(1, len(actives)):
-        if actives[k] != actives[k - 1]:
-            points.append((grid[k], boundary(grid[k])))
-    points.append((grid[-1], boundary(grid[-1])))
+    kernel = S.kernel
+    lines = kernel.ordered(members)
+    # The left envelope is the right envelope of the mirrored lines, negated.
+    sign = 1 if side == "right" else -1
+    chain = _upper_chain(lines if sign == 1 else _mirrored(lines))
+    den = kernel.den
+    points = [(_ZERO, Fraction(sign * chain[0][1], den))]
+    for (v1, a1), (v2, a2) in zip(chain, chain[1:]):
+        dv, da = v2 - v1, a1 - a2
+        points.append((Fraction(da, dv), Fraction(sign * (a1 * dv + v1 * da), dv * den)))
+    points.append((_ONE, Fraction(sign * sum(chain[-1]), den)))
     return Envelope(tuple(points))
 
 
 def diameter(S: TrajectorySet, C: Iterable[int]) -> Fraction:
     """Area of the cluster's span: the integral over [0,1] of its width.
 
-    Zero for empty and singleton clusters; otherwise an exact sum of
-    trapezoids over the pairwise crossing-time grid, which refines the
-    merged breakpoints of the two envelopes.
+    Zero for empty and singleton clusters; otherwise the integral of the
+    right envelope minus that of the left, summed exactly over the convex
+    chains of the members' lines in O(m log m) for m members.  Results are
+    memoized in the instance's kernel, keyed by the cluster's frozenset.
     """
     members = as_cluster(C, len(S))
     if len(members) <= 1:
         return _ZERO
-    return _diameter_cached(S, members)
-
-
-@lru_cache(maxsize=262144)
-def _diameter_cached(S: TrajectorySet, members: frozenset) -> Fraction:
-    # The width (right minus left envelope) is linear between consecutive
-    # pairwise crossing times, so trapezoids over that grid integrate it
-    # exactly; the grid refines the merged envelope breakpoints.
-    lines = [(S[i].x0, S[i].velocity) for i in sorted(members)]
-    cuts = {_ZERO, _ONE}
-    for a in range(len(lines)):
-        x0a, va = lines[a]
-        for b in range(a + 1, len(lines)):
-            x0b, vb = lines[b]
-            if va != vb:
-                t = (x0b - x0a) / (va - vb)
-                if _ZERO < t < _ONE:
-                    cuts.add(t)
-    grid = sorted(cuts)
-
-    def width(t: Fraction) -> Fraction:
-        positions = [x0 + v * t for x0, v in lines]
-        return max(positions) - min(positions)
-
-    total = _ZERO
-    prev_t = grid[0]
-    prev_w = width(prev_t)
-    for t in grid[1:]:
-        w = width(t)
-        total += (prev_w + w) * (t - prev_t) / 2
-        prev_t, prev_w = t, w
-    return total
+    return S.kernel.span_area(members)

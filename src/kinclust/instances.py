@@ -86,7 +86,7 @@ def parse_instance(data: bytes | str) -> TrajectorySet:
                     f"trajectories[{i}].{field}: must be a string (exact decimal or p/q)"
                 )
             try:
-                values[field] = Fraction(raw)
+                values[field] = as_scalar(raw)
             except (ValueError, ZeroDivisionError) as e:
                 raise InstanceError(f"trajectories[{i}].{field}: cannot parse {raw!r}") from e
         trajectories.append(Trajectory(values["x0"], values["x1"]))

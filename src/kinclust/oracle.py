@@ -1,8 +1,10 @@
-"""Brute-force referees for the solvers.
+"""Brute-force referees for the solvers and the exact kernel.
 
 Exhaustive enumeration of set partitions (restricted growth strings),
 optima over all or only well-separated clusterings, Stirling counting
-checks, and a numeric Riemann cross-check of the exact span area.
+checks, a numeric Riemann cross-check of the exact span area, and slow
+exact referees for the envelope kernel: span areas by trapezoids over the
+pairwise crossing-time grid, and envelopes read off at slab midpoints.
 Diameters come straight from the core geometry; nothing here reuses
 solver logic.
 """
@@ -14,11 +16,20 @@ from fractions import Fraction
 from typing import Iterator
 
 from .arrangement import compute_holes, is_well_separated
-from .geometry import TrajectorySet, canonical_key, _diameter_cached
+from .geometry import (
+    Envelope,
+    Side,
+    TrajectorySet,
+    as_cluster,
+    canonical_key,
+    crossing_time,
+    diameter,
+)
 from .max_diameter import MdSolution
 from .sum_diameter import SdSolution
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 # Bell(12) is about 4.2 million, the ceiling for desk-scale exhaustion.
 MAX_BRUTE_N = 12
@@ -74,8 +85,7 @@ def _scan(S: TrajectorySet, k: int, wellsep_only: bool):
         clusters = tuple(frozenset(b) for b in blocks)
         if wellsep_only and not is_well_separated(S, clusters, holes):
             continue
-        # blocks come from our own enumerator, so skip index validation
-        diams = [_diameter_cached(S, c) if len(c) > 1 else _ZERO for c in clusters]
+        diams = [diameter(S, c) for c in clusters]
         yield clusters, sum(diams, _ZERO), max(diams)
 
 
@@ -143,3 +153,67 @@ def numeric_diameter(S: TrajectorySet, C, steps: int) -> Fraction:
         positions = [x0 + v * t for x0, v in endpoints]
         total += max(positions) - min(positions)
     return total / steps
+
+
+def _crossing_grid(S: TrajectorySet, members: list[int]) -> list[Fraction]:
+    """0, 1, and every pairwise crossing time strictly between, sorted."""
+    cuts = {_ZERO, _ONE}
+    for ai in range(len(members)):
+        for bi in range(ai + 1, len(members)):
+            t = crossing_time(S[members[ai]], S[members[bi]])
+            if t is not None and _ZERO < t < _ONE:
+                cuts.add(t)
+    return sorted(cuts)
+
+
+def span_area_grid(S: TrajectorySet, C) -> Fraction:
+    """Exact span area by trapezoids over the pairwise crossing-time grid.
+
+    The width (max minus min position) is linear between consecutive
+    crossing times, so the trapezoid sum is exact.  O(m^3) for m members;
+    a referee for ``diameter``, which shares none of this code.
+    """
+    members = sorted(as_cluster(C, len(S)))
+    if len(members) <= 1:
+        return _ZERO
+
+    def width(t: Fraction) -> Fraction:
+        positions = [S[i].position(t) for i in members]
+        return max(positions) - min(positions)
+
+    grid = _crossing_grid(S, members)
+    widths = [width(t) for t in grid]
+    total = _ZERO
+    for k in range(1, len(grid)):
+        total += (widths[k - 1] + widths[k]) * (grid[k] - grid[k - 1]) / 2
+    return total
+
+
+def envelope_grid(S: TrajectorySet, C, side: Side) -> Envelope:
+    """Envelope by brute force: the extreme member at every slab midpoint.
+
+    Between consecutive pairwise crossing times one member carries the
+    boundary; a breakpoint is emitted wherever that member changes.  A
+    referee for ``envelope``.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    members = sorted(as_cluster(C, len(S)))
+    if not members:
+        raise ValueError("envelope of an empty cluster")
+    pick = min if side == "left" else max
+    grid = _crossing_grid(S, members)
+
+    def boundary(t: Fraction) -> Fraction:
+        return pick(S[i].position(t) for i in members)
+
+    actives = [
+        pick(members, key=lambda i: S[i].position((lo + hi) / 2))
+        for lo, hi in zip(grid, grid[1:])
+    ]
+    points = [(grid[0], boundary(grid[0]))]
+    for k in range(1, len(actives)):
+        if actives[k] != actives[k - 1]:
+            points.append((grid[k], boundary(grid[k])))
+    points.append((grid[-1], boundary(grid[-1])))
+    return Envelope(tuple(points))

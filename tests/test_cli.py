@@ -129,6 +129,11 @@ class TestMd:
     def test_missing_k(self, quartet_file, capsys):
         assert main(["md", "bsearch", quartet_file]) == 1
 
+    def test_huge_exponent_options_rejected(self, quartet_file, capsys):
+        assert main(["md", "bsearch", quartet_file, "-k", "2", "--eps", "1e-4301"]) == 1
+        assert main(["md", "gp", quartet_file, "-D", "1e4301"]) == 1
+        assert "exponent" in capsys.readouterr().err
+
 
 class TestGen:
     def test_writes_parseable_deterministic_file(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from kinclust import (
     Trajectory,
     TrajectorySet,
+    as_scalar,
     bottom_leftmost,
     diameter,
     envelope,
@@ -102,6 +103,23 @@ class TestBottomLeftmost:
     def test_empty_cluster_rejected(self, quartet):
         with pytest.raises(ValueError):
             bottom_leftmost(quartet, frozenset())
+
+
+class TestAsScalar:
+    @pytest.mark.parametrize("raw", ["1e4301", "1e-4301", " 7.5e+4301 ", "1e999999999"])
+    def test_huge_decimal_exponent_rejected(self, raw):
+        # Rejected from the text alone: 10**exponent is never built.
+        with pytest.raises(ValueError, match="exponent"):
+            as_scalar(raw)
+
+    def test_bound_is_inclusive(self):
+        assert as_scalar("1e4300") == 10**4300
+        assert as_scalar("1e-4300") == Fraction(1, 10**4300)
+        assert as_scalar("-1.5e-2") == Fraction(-3, 200)
+
+    def test_ratios_and_plain_decimals_unaffected(self):
+        assert as_scalar("3/4") == Fraction(3, 4)
+        assert as_scalar("0.25") == Fraction(1, 4)
 
 
 class TestTrajectorySet:

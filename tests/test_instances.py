@@ -54,6 +54,16 @@ class TestParse:
             parse_instance(doc)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("raw", ["1e4301", "1e-4301", "-2.5E+4301", "1e00004_301"])
+    def test_huge_decimal_exponent_rejected(self, raw):
+        doc = '{"trajectories":[{"x0":"0","x1":"%s"}]}' % raw
+        with pytest.raises(InstanceError, match=r"trajectories\[0\]\.x1"):
+            parse_instance(doc)
+
+    def test_largest_decimal_exponent_parses(self):
+        S = parse_instance('{"trajectories":[{"x0":"1e4300","x1":"-1e-4300"}]}')
+        assert S[0].x0 == 10**4300 and S[0].x1 == Fraction(-1, 10**4300)
+
     def test_duplicate_rows_rejected(self):
         doc = '{"trajectories":[{"x0":"1","x1":"2"},{"x0":"1","x1":"2"}]}'
         with pytest.raises(InstanceError, match="duplicate"):

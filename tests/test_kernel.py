@@ -1,0 +1,290 @@
+"""The exact envelope kernel behind diameter and envelope, and its memo.
+
+Span areas and envelopes are checked against the slow grid referees in
+``kinclust.oracle`` well beyond brute-force sizes and on degenerate line
+families; metamorphic properties are checked with hypothesis; and the
+per-instance kernel must leave the value semantics of TrajectorySet alone.
+"""
+
+import copy
+import dataclasses
+import pickle
+import random
+import sys
+import threading
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kinclust import (
+    TrajectorySet,
+    bsearch,
+    build_poset,
+    compute_holes,
+    diameter,
+    dumps_instance,
+    envelope,
+    md_wellsep_dp,
+    parse_instance,
+    sd_exact_goodseq,
+    sd_wellsep_dp,
+)
+from kinclust.oracle import envelope_grid, span_area_grid
+
+from conftest import make_instance
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def _assert_matches_referees(S, C):
+    assert diameter(S, C) == span_area_grid(S, C)
+    if C:
+        for side in ("left", "right"):
+            assert envelope(S, C, side).breakpoints == envelope_grid(S, C, side).breakpoints
+
+
+def _subsets(rng, n, count):
+    yield range(n)
+    for _ in range(count):
+        yield rng.sample(range(n), rng.randint(1, n))
+
+
+class TestKernelMatchesReferees:
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_random_subsets_beyond_brute_force(self, n):
+        rng = random.Random(n)
+        for seed in range(3 if n < 64 else 2):
+            S = make_instance(900 + seed, n)
+            for C in _subsets(rng, n, 4 if n < 64 else 1):
+                _assert_matches_referees(S, frozenset(C))
+
+    def test_fine_and_coarse_grids(self):
+        rng = random.Random(7)
+        for grid in (1, 3, 1000):
+            S = make_instance(31, 24, grid=grid)
+            for C in _subsets(rng, 24, 5):
+                _assert_matches_referees(S, frozenset(C))
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            # pencil through x=0 at t=1/2
+            [(i, -i) for i in range(-4, 5)],
+            # pencil through x=1/3 at t=1/7, plus lines off the pencil
+            [(Fraction(1, 3) - Fraction(i, 7), Fraction(1, 3) + 6 * Fraction(i, 7)) for i in range(-3, 4)]
+            + [("5", "-5"), ("-2", "4")],
+            # every crossing exactly at t=0, or exactly at t=1
+            [(0, i) for i in range(-4, 5)],
+            [(i, 3) for i in range(-4, 5)],
+            # crossings at both strip edges together
+            [(0, 1), (0, -1), (1, 0), (-1, 0), (2, 2)],
+            # all parallel, and parallel families mixed with crossers
+            [(i, i + 2) for i in range(8)],
+            [(i, i) for i in range(5)] + [(0, 4), (4, 0), (Fraction(1, 2), Fraction(1, 2) + 1)],
+            # a single member
+            [("3/7", "-2")],
+            # pairwise co-prime denominators: the common denominator is huge
+            [(Fraction(1, p), Fraction(i % 5 - 2) - Fraction(1, p)) for i, p in enumerate(PRIMES)],
+        ],
+        ids=[
+            "pencil-mid",
+            "pencil-off-grid",
+            "pencil-at-0",
+            "pencil-at-1",
+            "pencils-at-both-edges",
+            "all-parallel",
+            "parallel-mixed",
+            "single",
+            "coprime-denominators",
+        ],
+    )
+    def test_degenerate_families(self, pairs):
+        S = TrajectorySet.from_pairs(pairs)
+        n = len(S)
+        rng = random.Random(n)
+        for C in [range(n), *_subsets(rng, n, 6), [0], [n - 1]]:
+            _assert_matches_referees(S, frozenset(C))
+
+    def test_empty_cluster(self):
+        S = make_instance(3, 5)
+        assert diameter(S, ()) == span_area_grid(S, ()) == 0
+        with pytest.raises(ValueError):
+            envelope_grid(S, (), "left")
+
+    def test_index_validation_kept(self):
+        S = make_instance(3, 5)
+        for bad in ({0, 5}, {-1, 2}, {0, True}, {0, 1.0}):
+            with pytest.raises(ValueError):
+                diameter(S, bad)
+        # A valid cluster memoized first must not let an equal frozenset
+        # with non-int members through.
+        diameter(S, {0, 1})
+        with pytest.raises(ValueError):
+            diameter(S, {0, True})
+
+
+# --- metamorphic properties ---------------------------------------------
+
+_COORD = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_INSTANCE = st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=64, unique=True)
+_SHIFT = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+_SCALE = st.fractions(min_value=-8, max_value=8, max_denominator=9).filter(bool)
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _cluster(data, n):
+    return frozenset(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+
+
+@_PROPERTY
+@given(_INSTANCE, _SHIFT, _SHIFT, st.data())
+def test_translation_and_common_drift_invariance(pairs, c0, c1, data):
+    S = TrajectorySet.from_pairs(pairs)
+    C = _cluster(data, len(S))
+    value = diameter(S, C)
+    moved = TrajectorySet.from_pairs([(x0 + c0, x1 + c0) for x0, x1 in pairs])
+    drifted = TrajectorySet.from_pairs([(x0 + c0, x1 + c1) for x0, x1 in pairs])
+    assert diameter(moved, C) == value
+    assert diameter(drifted, C) == value
+
+
+@_PROPERTY
+@given(_INSTANCE, _SCALE, st.data())
+def test_scaling_multiplies_by_abs(pairs, a, data):
+    S = TrajectorySet.from_pairs(pairs)
+    C = _cluster(data, len(S))
+    scaled = TrajectorySet.from_pairs([(a * x0, a * x1) for x0, x1 in pairs])
+    assert diameter(scaled, C) == abs(a) * diameter(S, C)
+
+
+@_PROPERTY
+@given(_INSTANCE, st.data())
+def test_mirror_time_reversal_and_permutation_invariance(pairs, data):
+    S = TrajectorySet.from_pairs(pairs)
+    n = len(S)
+    C = _cluster(data, n)
+    value = diameter(S, C)
+    mirrored = TrajectorySet.from_pairs([(-x0, -x1) for x0, x1 in pairs])
+    reversed_time = TrajectorySet.from_pairs([(x1, x0) for x0, x1 in pairs])
+    assert diameter(mirrored, C) == value
+    assert diameter(reversed_time, C) == value
+    perm = data.draw(st.permutations(range(n)))  # new index j holds old perm[j]
+    permuted = TrajectorySet(tuple(S[perm[j]] for j in range(n)))
+    where = {old: new for new, old in enumerate(perm)}
+    assert diameter(permuted, {where[i] for i in C}) == value
+
+
+@_PROPERTY
+@given(_INSTANCE, st.data())
+def test_monotone_under_inclusion(pairs, data):
+    S = TrajectorySet.from_pairs(pairs)
+    big = _cluster(data, len(S))
+    small = frozenset(data.draw(st.sets(st.sampled_from(sorted(big)))))
+    assert diameter(S, small) <= diameter(S, big)
+
+
+# --- value semantics --------------------------------------------------------
+
+
+def _solve_all(S):
+    return (
+        sd_exact_goodseq(S, 3),
+        sd_wellsep_dp(S, 3),
+        md_wellsep_dp(S, 3),
+        bsearch(S, 3),
+        compute_holes(S),
+        build_poset(S, compute_holes(S)).elements,
+    )
+
+
+class TestValueSemantics:
+    def test_kernel_is_not_a_field(self):
+        assert [f.name for f in dataclasses.fields(TrajectorySet)] == ["trajectories"]
+
+    def test_eq_hash_repr_unchanged_by_a_solve(self):
+        S = make_instance(5, 9)
+        twin = parse_instance(dumps_instance(S))
+        before = (hash(S), repr(S), S == twin)
+        _solve_all(S)
+        assert S.kernel.spans and S.kernel.holes is not None
+        assert (hash(S), repr(S), S == twin) == before
+        assert hash(S) == hash(twin)
+
+    def test_pickle_and_copy_drop_the_kernel(self):
+        S = make_instance(6, 9)
+        fresh = pickle.dumps(S)
+        results = _solve_all(S)
+        assert pickle.dumps(S) == fresh
+        for clone in (pickle.loads(pickle.dumps(S)), copy.copy(S), copy.deepcopy(S)):
+            assert clone == S and "kernel" not in vars(clone)
+            assert _solve_all(clone) == results
+
+    def test_equal_distinct_sets_give_identical_results(self):
+        S = make_instance(8, 10)
+        twin = parse_instance(dumps_instance(S))
+        assert twin == S and twin is not S
+        assert _solve_all(S) == _solve_all(twin)
+        assert S.kernel is not twin.kernel
+
+
+class TestArrangementCache:
+    def test_holes_computed_once_per_instance(self):
+        S = make_instance(9, 8)
+        assert compute_holes(S) is compute_holes(S)
+        twin = parse_instance(dumps_instance(S))
+        assert compute_holes(twin) == compute_holes(S)
+        assert compute_holes(twin) is not compute_holes(S)
+
+    def test_poset_reused_only_for_the_instances_own_holes(self):
+        S = make_instance(10, 8)
+        holes = compute_holes(S)
+        poset = build_poset(S, holes)
+        assert build_poset(S, holes) is poset
+
+        copied = tuple(list(holes))
+        assert copied is not holes
+        other = build_poset(S, copied)
+        assert other is not poset and other.elements == poset.elements
+
+        twin_holes = compute_holes(parse_instance(dumps_instance(S)))
+        assert build_poset(S, twin_holes) is not poset
+
+        subset = build_poset(S, holes[:3])
+        assert subset is not poset and len(subset) < len(poset)
+        assert build_poset(S, holes) is poset
+
+
+def test_threads_sharing_one_instance_agree():
+    # The memo and the arrangement cache are filled without a lock; a race
+    # may compute a value twice but must never return a wrong one.
+    S = make_instance(12, 12)
+    rng = random.Random(12)
+    clusters = [frozenset(rng.sample(range(12), rng.randint(2, 12))) for _ in range(300)]
+    expected = [diameter(make_instance(12, 12), C) for C in clusters]
+    reference = sd_wellsep_dp(make_instance(12, 12), 3)
+    results, errors = {}, []
+
+    def work(w):
+        try:
+            order = list(range(len(clusters)))
+            random.Random(w).shuffle(order)
+            got = {i: diameter(S, clusters[i]) for i in order}
+            results[w] = ([got[i] for i in range(len(clusters))], sd_wellsep_dp(S, 3))
+        except Exception as e:  # surfaced by the assertion below
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert all(results[w] == (expected, reference) for w in range(6))
