@@ -39,9 +39,19 @@ for h in holes:
         print(f"  hole left={sorted(h.left_set)} covered: {is_covered(S, h, clustering)}")
 print("well separated:", is_well_separated(S, clustering))
 
+
+def cover_relations(poset):
+    """A -> B for A < B with no side-set strictly between them."""
+    for a in poset.elements:
+        sups = poset.strict_supersets(a)
+        for b in sups:
+            if not any(a < c < b for c in sups):
+                yield a, b
+
+
 poset = build_poset(S, holes)
 print(f"\nside-set poset: {len(poset)} elements "
       f"(source {sorted(poset.source())}, sink {sorted(poset.sink())})")
 print("cover relations:")
-for a, b in poset.hasse_edges():
+for a, b in cover_relations(poset):
     print(f"  {sorted(a)} -> {sorted(b)}")

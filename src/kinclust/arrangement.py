@@ -11,9 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import compress, groupby
+from math import gcd
+from operator import and_
 from typing import Iterable, Literal
 
-from .geometry import TrajectorySet, crossing_time
+from .geometry import TrajectorySet
 
 HoleKind = Literal["bounded", "unbounded_left", "unbounded_right"]
 
@@ -46,16 +50,21 @@ def compute_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     """All faces of the arrangement, one Hole per face.
 
     Computed once per instance and kept in its kernel; every later call on
-    the same instance returns the same tuple.
+    the same instance returns the same tuple, ordered by (t_lo, size of
+    the left set, its sorted indices).
 
-    Slab sweep: between consecutive crossing times the left-to-right order
-    of the trajectories is constant, and the faces meeting the slab are
-    exactly the prefixes of that order (including the empty prefix and the
-    full set).  The gap above a fixed prefix is a concave function of time,
-    hence positive on a single interval, so merging equal prefixes across
-    adjacent slabs reconstructs each face exactly once with its full time
-    extent.  Zero-width slabs never arise (cuts are deduplicated) and every
-    emitted face has positive area by construction.
+    Event sweep (kinetic sorting): at any time the faces are exactly the
+    prefixes of the left-to-right order of the trajectories, the empty
+    prefix and the full set included.  The order changes only at crossing
+    times inside (0, 1); there the lines through each crossing point form
+    a contiguous block of the order that simply reverses, so the prefixes
+    strictly inside such a block close (t_hi = t) and new ones open
+    (t_lo = t), while every other face carries on.  The gap above a fixed
+    prefix is a concave function of time, hence positive on a single
+    interval, so no face ever re-opens and each is emitted exactly once
+    with its full time extent.  Crossing times come from the kernel's
+    integer lines; prefixes are int bitmasks, each turned into a frozenset
+    once, when its hole is emitted.
     """
     kernel = S.kernel
     if kernel.holes is None:
@@ -63,48 +72,99 @@ def compute_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     return kernel.holes
 
 
+# Maps the characters of a binary numeral to the bytes 0 and 1, so that a
+# bitmask decodes into itertools.compress selectors in C.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _picked(items, mask: int):
+    """The items flagged in ``mask``, in order.
+
+    Item k of m items carries the flag 1 << (m - 1 - k), so the binary
+    numeral of ``mask`` reads the flags from its first flagged item on.
+    """
+    flags = f"{mask:b}".encode().translate(_BITS)
+    return compress(items[len(items) - len(flags):], flags)
+
+
 def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     n = len(S)
     if n == 0:
         raise ValueError("compute_holes of an empty trajectory set")
+    kernel = S.kernel
+    lines = kernel.lines
 
-    cuts = {_ZERO, _ONE}
-    for i in range(n):
-        for j in range(i + 1, n):
-            t = crossing_time(S[i], S[j])
-            if t is not None and _ZERO < t < _ONE:
-                cuts.add(t)
-    grid = sorted(cuts)
+    # Lines r < s (slope order) cross at t = (a_r - a_s) / (v_s - v_r);
+    # group the crossings strictly inside (0, 1) by their reduced time.
+    crossing: dict[tuple[int, int], set[int]] = {}
+    for r in range(n):
+        v1, a1 = lines[r]
+        for s in range(r + 1, n):
+            v2, a2 = lines[s]
+            da, dv = a1 - a2, v2 - v1
+            if 0 < da < dv:
+                g = gcd(da, dv)
+                crossing.setdefault((da // g, dv // g), set()).update((r, s))
+    # Correctly rounded division is monotone, so the float decides the
+    # order and the exact time only breaks ties between equal floats.
+    events = sorted((p / q, Fraction(p, q), p, q) for p, q in crossing)
 
-    runs: dict[frozenset, list[Fraction]] = {}
-    for lo, hi in zip(grid, grid[1:]):
-        mid = (lo + hi) / 2
-        order = sorted(range(n), key=lambda i: S[i].x0 + S[i].velocity * mid)
-        prefix: frozenset = frozenset()
-        for size in range(n + 1):
-            if size > 0:
-                prefix = prefix | {order[size - 1]}
-            run = runs.get(prefix)
-            if run is None:
-                runs[prefix] = [lo, hi]
-            elif run[1] == lo:
-                run[1] = hi
-            else:
-                # A prefix reappearing after a gap would contradict the
-                # concavity of its gap function.
-                raise AssertionError(f"face {sorted(prefix)} re-opened at t={lo}")
+    # Left-to-right order just after t=0, by position at 0, then slope.
+    order = [kernel.rank[i] for i in kernel.leftmost]
+    place = [0] * n
+    for k, r in enumerate(order):
+        place[r] = k
+    bit = [0] * n  # member i's flag in a left-set mask, by line
+    for i, r in enumerate(kernel.rank):
+        bit[r] = 1 << (n - 1 - i)
 
-    full = S.all_indices()
+    # faces[slot] = [left mask, t_lo, t_hi]; open_slot[size] is the slot of
+    # the face whose left set is the current prefix of that size.  Faces
+    # open in (t_lo, size) order, so they need no sort.
+    prefix = 0
+    faces = [[0, _ZERO, None]]
+    for r in order:
+        prefix |= bit[r]
+        faces.append([prefix, _ZERO, None])
+    open_slot = list(range(n + 1))
+    seen = {face[0] for face in faces}
+
+    for _, t, p, q in events:
+        # Lines through one crossing point are adjacent in the order and
+        # share their position at t, the integer a*q + v*p over den*q.
+        ranks = sorted(crossing[p, q], key=place.__getitem__)
+        for _, pencil in groupby(ranks, key=lambda r: lines[r][1] * q + lines[r][0] * p):
+            pencil = list(pencil)
+            lo, hi = place[pencil[0]], place[pencil[-1]]
+            order[lo:hi + 1] = reversed(order[lo:hi + 1])
+            for k in range(lo, hi + 1):
+                place[order[k]] = k
+            mask = faces[open_slot[lo]][0]
+            for size in range(lo + 1, hi + 1):
+                faces[open_slot[size]][2] = t
+                mask |= bit[order[size - 1]]
+                if mask in seen:
+                    # A prefix reappearing after a gap would contradict the
+                    # concavity of its gap function.
+                    raise AssertionError(f"face {list(_picked(range(n), mask))} re-opened at t={t}")
+                seen.add(mask)
+                open_slot[size] = len(faces)
+                faces.append([mask, t, None])
+    for slot in open_slot:
+        faces[slot][2] = _ONE
+
+    full = (1 << n) - 1
     holes = []
-    for left, (lo, hi) in runs.items():
-        if not left:
+    for mask, lo, hi in faces:
+        if not mask:
             kind: HoleKind = "unbounded_left"
-        elif left == full:
+        elif mask == full:
             kind = "unbounded_right"
         else:
             kind = "bounded"
-        holes.append(Hole(left, lo, hi, kind))
-    holes.sort(key=lambda h: (h.t_lo, len(h.left_set), tuple(sorted(h.left_set))))
+        # Built through a set so that the frozenset's table is sized to its
+        # members rather than grown one member at a time.
+        holes.append(Hole(frozenset(set(_picked(range(n), mask))), lo, hi, kind))
     return tuple(holes)
 
 
@@ -193,15 +253,6 @@ class SeparatorPoset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def hasse_edges(self) -> tuple[tuple[frozenset, frozenset], ...]:
-        """Cover relations: A -> B with A < B and nothing strictly between."""
-        edges = []
-        for a in self.elements:
-            for b in self.successors[a]:
-                if not any(a < c < b for c in self.successors[a]):
-                    edges.append((a, b))
-        return tuple(edges)
-
 
 def build_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:
     """Deduplicated side-sets of all holes under strict inclusion.
@@ -225,8 +276,19 @@ def _inclusion_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPose
         sets.add(h.left_set)
         sets.add(full - h.left_set)
     elements = tuple(sorted(sets, key=lambda c: (len(c), tuple(sorted(c)))))
+    # containing[i] flags the elements holding i; element e carries the flag
+    # 1 << (m - 1 - e) of m, so each is read from one base-2 numeral.
+    m = len(elements)
+    numerals = [bytearray(b"0") * m for _ in range(len(S))]
+    for e, c in enumerate(elements):
+        for i in c:
+            numerals[i][e] = 49  # "1"
+    containing = [int(numeral, 2) for numeral in numerals]
+    # An element's strict supersets are the later elements holding all of
+    # its members: elements sort by size, so no earlier one can.
+    holding = containing.__getitem__
     successors = {
-        a: tuple(b for b in elements if a < b)
-        for a in elements
+        c: tuple(_picked(elements, reduce(and_, map(holding, c), (1 << (m - 1 - e)) - 1)))
+        for e, c in enumerate(elements)
     }
     return SeparatorPoset(elements, successors)

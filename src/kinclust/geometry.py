@@ -277,6 +277,19 @@ def _mirrored(lines: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(-v, -a) for v, a in reversed(lines)]
 
 
+def _pair_terms(d0: int, d1: int) -> tuple[int, int]:
+    """(p, q) with p / (2 q den) the span area of two members.
+
+    d0 and d1 are the members' differences at t=0 and t=1 in units of
+    1/den.  The closed form is that of ``pairwise_diameter``: |d0 + d1| / 2
+    without a sign change, else (d0^2 + d1^2) / (2 |d0 - d1|) for the two
+    triangles on either side of the crossing.
+    """
+    if d0 * d1 >= 0:
+        return abs(d0 + d1), 1
+    return d0 * d0 + d1 * d1, abs(d0 - d1)
+
+
 class SpanKernel:
     """Exact per-instance kernel of a TrajectorySet.
 
@@ -285,13 +298,16 @@ class SpanKernel:
     of every coordinate.  ``lines`` holds the (v, a) pairs sorted by slope,
     then intercept, and ``rank[i]`` is member i's place in that order, so a
     cluster's lines come out sorted from a sort of small ints.
+    ``leftmost`` lists the member indices in bottom-leftmost order, by
+    (x0, x1).
 
-    ``spans`` memoizes span areas by cluster; ``holes`` and ``poset`` hold
+    ``spans`` memoizes span areas by cluster and ``rows`` the pairwise
+    span-area rows of the members asked for; ``holes`` and ``poset`` hold
     the arrangement's hole table and side-set poset once computed (see
     ``arrangement``).  The kernel lives and dies with its instance.
     """
 
-    __slots__ = ("den", "lines", "rank", "spans", "holes", "poset")
+    __slots__ = ("den", "lines", "rank", "leftmost", "spans", "rows", "holes", "poset")
 
     def __init__(self, trajectories: tuple[Trajectory, ...]) -> None:
         den = math.lcm(*(x.denominator for s in trajectories for x in (s.x0, s.x1)))
@@ -307,7 +323,9 @@ class SpanKernel:
         self.den = den
         self.lines = tuple(raw[i] for i in order)
         self.rank = tuple(rank)
+        self.leftmost = tuple(sorted(range(len(ends)), key=ends.__getitem__))
         self.spans: dict[frozenset, Fraction] = {}
+        self.rows: dict[int, tuple[Fraction, ...]] = {}
         self.holes = None
         self.poset = None
 
@@ -341,6 +359,41 @@ class SpanKernel:
                     den = den // g * dv
             area = self.spans[members] = Fraction(ends * den + num, 2 * self.den * den)
         return area
+
+    def pair_row(self, i: int) -> tuple[Fraction, ...]:
+        """Member i's pairwise span areas to every member j, in index order.
+
+        Entry j equals ``pairwise_diameter(S[i], S[j])``; the row is
+        memoized, and only rows asked for are ever built.
+        """
+        row = self.rows.get(i)
+        if row is None:
+            lines, den2 = self.lines, 2 * self.den
+            v, a = lines[self.rank[i]]
+            row = []
+            for r in self.rank:
+                w, b = lines[r]
+                p, q = _pair_terms(a - b, a - b + v - w)
+                row.append(Fraction(p, den2 * q))
+            row = self.rows[i] = tuple(row)
+        return row
+
+    def min_pair_area(self) -> Fraction:
+        """Smallest span area over all pairs of at least two members.
+
+        One pass over the pairs in integers, comparing p / q by
+        cross-multiplication; a single Fraction is built at the end.
+        """
+        lines = self.lines
+        if len(lines) < 2:
+            raise ValueError("min_pair_area needs at least two members")
+        best_p, best_q = None, 1
+        for r, (v, a) in enumerate(lines):
+            for w, b in lines[r + 1:]:
+                p, q = _pair_terms(a - b, a - b + v - w)
+                if best_p is None or p * best_q < best_p * q:
+                    best_p, best_q = p, q
+        return Fraction(best_p, 2 * self.den * best_q)
 
 
 def envelope(S: TrajectorySet, C: Iterable[int], side: Side) -> Envelope:

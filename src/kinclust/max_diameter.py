@@ -20,7 +20,6 @@ from .geometry import (
     as_scalar,
     diameter,
     normalize_clustering,
-    pairwise_diameter,
 )
 
 # Exact rational upper bound on the growth constant (4 + sqrt(2)) / 2 that
@@ -62,20 +61,20 @@ def gp(S: TrajectorySet, D: ScalarLike) -> Clustering:
     Repeatedly take the bottom-leftmost remaining trajectory s and make a
     cluster of every remaining s' with pairwise diameter at most D (s
     itself included, its self-distance being zero).  Clusters come out in
-    the order their representatives were picked.
+    the order their representatives were picked.  Pairwise diameters are
+    read from the kernel's memoized row of each representative.
     """
     D = as_scalar(D)
     if D < 0:
         raise ValueError(f"threshold D must be nonnegative, got {D}")
-    n = len(S)
-    order = sorted(range(n), key=lambda i: S[i])
-    taken = [False] * n
+    kernel = S.kernel
+    taken = [False] * len(S)
     clusters = []
-    for s in order:
+    for s in kernel.leftmost:
         if taken[s]:
             continue
         members = [
-            j for j in order if not taken[j] and pairwise_diameter(S[s], S[j]) <= D
+            j for j, d in enumerate(kernel.pair_row(s)) if not taken[j] and d <= D
         ]
         for j in members:
             taken[j] = True
@@ -95,14 +94,15 @@ def bsearch(S: TrajectorySet, k: int, eps: ScalarLike = Fraction(1, 20)) -> MdSo
     invariant that gp at b needs at most k clusters.  The result is within
     a factor GP_FACTOR + eps of the best possible maximum diameter.  All
     arithmetic stays rational, so the loop guard is an exact comparison.
+    k must satisfy 1 <= k <= n; k == n gives the singletons.
     """
     eps = as_scalar(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     n = len(S)
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if k >= n:
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    if k == n:
         singletons = normalize_clustering([frozenset([i]) for i in range(n)])
         return MdSolution(
             singletons,
@@ -114,10 +114,7 @@ def bsearch(S: TrajectorySet, k: int, eps: ScalarLike = Fraction(1, 20)) -> MdSo
             iterations=0,
         )
 
-    min_pair = min(
-        pairwise_diameter(S[i], S[j]) for i in range(n) for j in range(i + 1, n)
-    )
-    delta = eps * min_pair / GP_FACTOR
+    delta = eps * S.kernel.min_pair_area() / GP_FACTOR
     a = Fraction(0)
     b = diameter(S, S.all_indices())
     clusters: Clustering | None = None
@@ -151,28 +148,26 @@ def kcenter_gonzalez(S: TrajectorySet, k: int) -> tuple[CenterSet, Clustering]:
     center maximizes the distance to the chosen ones (ties to the lowest
     index).  Every trajectory is then assigned to its nearest center,
     again with ties to the lowest center index, so the induced clusters
-    are disjoint.
+    are disjoint.  Distances are read from the kernel's rows of the
+    centers.
     """
     n = len(S)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
 
-    seed = min(range(n), key=lambda i: S[i])
+    kernel = S.kernel
+    seed = kernel.leftmost[0]
     centers = [seed]
-    nearest = [pairwise_diameter(S[seed], S[i]) for i in range(n)]
+    nearest = list(kernel.pair_row(seed))
     while len(centers) < k:
         far = max(range(n), key=lambda i: (nearest[i], -i))
         centers.append(far)
-        for i in range(n):
-            d = pairwise_diameter(S[far], S[i])
-            if d < nearest[i]:
-                nearest[i] = d
+        nearest = [min(pair) for pair in zip(nearest, kernel.pair_row(far))]
 
-    assignment = []
-    for i in range(n):
-        assignment.append(min(centers, key=lambda c: (pairwise_diameter(S[c], S[i]), c)))
+    rows = {c: kernel.pair_row(c) for c in centers}
+    assignment = tuple(min(centers, key=lambda c: (rows[c][i], c)) for i in range(n))
     groups: dict[int, set[int]] = {c: set() for c in centers}
     for i, c in enumerate(assignment):
         groups[c].add(i)
     clustering = normalize_clustering(groups.values())
-    return CenterSet(tuple(centers), tuple(assignment)), clustering
+    return CenterSet(tuple(centers), assignment), clustering

@@ -3,10 +3,11 @@
 Exhaustive enumeration of set partitions (restricted growth strings),
 optima over all or only well-separated clusterings, Stirling counting
 checks, a numeric Riemann cross-check of the exact span area, and slow
-exact referees for the envelope kernel: span areas by trapezoids over the
-pairwise crossing-time grid, and envelopes read off at slab midpoints.
-Diameters come straight from the core geometry; nothing here reuses
-solver logic.
+exact referees for the kernel: span areas by trapezoids over the
+pairwise crossing-time grid, envelopes read off at slab midpoints, holes
+from a re-sort of the trajectories in every slab, and the side-set poset
+from frozenset comparisons.  Diameters come straight from the core
+geometry; nothing here reuses solver logic.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .arrangement import compute_holes, is_well_separated
+from .arrangement import Hole, HoleKind, SeparatorPoset, compute_holes, is_well_separated
 from .geometry import (
     Envelope,
     Side,
@@ -139,20 +140,28 @@ def numeric_diameter(S: TrajectorySet, C, steps: int) -> Fraction:
     """Midpoint-rule Riemann sum of the cluster width, in exact rationals.
 
     Width is evaluated directly as max minus min of member positions, so
-    this cross-check shares no code with the envelope-based area.
+    this cross-check shares no code with the envelope-based area.  Over
+    the members' own common denominator den, the positions at the
+    midpoints t = u / (2 steps), u odd, are integers in units of
+    1 / (2 steps den); their widths are summed as ints and divided once.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    members = sorted(frozenset(C))
+    members = [S[i] for i in sorted(frozenset(C))]
     if len(members) <= 1:
         return Fraction(0)
-    endpoints = [(S[i].x0, S[i].velocity) for i in members]
-    total = Fraction(0)
-    for i in range(steps):
-        t = Fraction(2 * i + 1, 2 * steps)
-        positions = [x0 + v * t for x0, v in endpoints]
+    den = math.lcm(*(x.denominator for s in members for x in (s.x0, s.x1)))
+    scale = 2 * steps
+    lines = []
+    for s in members:
+        x0 = s.x0.numerator * (den // s.x0.denominator)
+        x1 = s.x1.numerator * (den // s.x1.denominator)
+        lines.append((x0 * scale, x1 - x0))
+    total = 0
+    for u in range(1, scale, 2):
+        positions = [a + v * u for a, v in lines]
         total += max(positions) - min(positions)
-    return total / steps
+    return Fraction(total, scale * steps * den)
 
 
 def _crossing_grid(S: TrajectorySet, members: list[int]) -> list[Fraction]:
@@ -217,3 +226,61 @@ def envelope_grid(S: TrajectorySet, C, side: Side) -> Envelope:
             points.append((grid[k], boundary(grid[k])))
     points.append((grid[-1], boundary(grid[-1])))
     return Envelope(tuple(points))
+
+
+def holes_slab(S: TrajectorySet) -> tuple[Hole, ...]:
+    """Holes by brute force: re-sort the trajectories in every slab.
+
+    Between consecutive crossing times the left-to-right order is
+    constant, and the faces meeting the slab are exactly the prefixes of
+    that order (the empty prefix and the full set included).  Merging
+    equal prefixes across adjacent slabs gives each face with its full
+    time extent; a prefix reappearing after a gap would contradict the
+    concavity of its gap function and raises AssertionError.  O(n^4) set
+    work; a referee for ``compute_holes``, in the same order.
+    """
+    n = len(S)
+    if n == 0:
+        raise ValueError("compute_holes of an empty trajectory set")
+    grid = _crossing_grid(S, list(range(n)))
+
+    runs: dict[frozenset, list[Fraction]] = {}
+    for lo, hi in zip(grid, grid[1:]):
+        mid = (lo + hi) / 2
+        order = sorted(range(n), key=lambda i: S[i].x0 + S[i].velocity * mid)
+        prefix: frozenset = frozenset()
+        for size in range(n + 1):
+            if size > 0:
+                prefix = prefix | {order[size - 1]}
+            run = runs.get(prefix)
+            if run is None:
+                runs[prefix] = [lo, hi]
+            elif run[1] == lo:
+                run[1] = hi
+            else:
+                raise AssertionError(f"face {sorted(prefix)} re-opened at t={lo}")
+
+    full = S.all_indices()
+    holes = []
+    for left, (lo, hi) in runs.items():
+        if not left:
+            kind: HoleKind = "unbounded_left"
+        elif left == full:
+            kind = "unbounded_right"
+        else:
+            kind = "bounded"
+        holes.append(Hole(left, lo, hi, kind))
+    holes.sort(key=lambda h: (h.t_lo, len(h.left_set), tuple(sorted(h.left_set))))
+    return tuple(holes)
+
+
+def poset_by_inclusion(S: TrajectorySet, holes) -> SeparatorPoset:
+    """The side-set poset by pairwise frozenset comparison, O(P^2).
+
+    A referee for ``build_poset``: the distinct hole side-sets sorted by
+    (size, indices), each mapped to its strict supersets in that order.
+    """
+    full = S.all_indices()
+    sets = {h.left_set for h in holes} | {full - h.left_set for h in holes}
+    elements = tuple(sorted(sets, key=lambda c: (len(c), tuple(sorted(c)))))
+    return SeparatorPoset(elements, {a: tuple(b for b in elements if a < b) for a in elements})

@@ -16,6 +16,35 @@ GP_BOUND = Fraction("2.7072")            # >= (4 + sqrt(2)) / 2
 KCENTER_BOUND = Fraction("6.8285")       # >= 2 * (2 + sqrt(2))
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+# Degenerate line families, as (x0, x1) pairs by name, shared by the checks
+# of the kernel and of the arrangement sweep against their referees.
+DEGENERATE_FAMILIES = {
+    # pencil through x=0 at t=1/2
+    "pencil-mid": [(i, -i) for i in range(-4, 5)],
+    # pencil through x=1/3 at t=1/7, plus lines off the pencil
+    "pencil-off-grid": [
+        (Fraction(1, 3) - Fraction(i, 7), Fraction(1, 3) + 6 * Fraction(i, 7)) for i in range(-3, 4)
+    ]
+    + [("5", "-5"), ("-2", "4")],
+    # every crossing exactly at t=0, or exactly at t=1
+    "pencil-at-0": [(0, i) for i in range(-4, 5)],
+    "pencil-at-1": [(i, 3) for i in range(-4, 5)],
+    # crossings at both strip edges together
+    "pencils-at-both-edges": [(0, 1), (0, -1), (1, 0), (-1, 0), (2, 2)],
+    # all parallel, and parallel families mixed with crossers
+    "all-parallel": [(i, i + 2) for i in range(8)],
+    "parallel-mixed": [(i, i) for i in range(5)] + [(0, 4), (4, 0), (Fraction(1, 2), Fraction(1, 2) + 1)],
+    # a single member
+    "single": [("3/7", "-2")],
+    # pairwise co-prime denominators: the common denominator is huge
+    "coprime-denominators": [
+        (Fraction(1, p), Fraction(i % 5 - 2) - Fraction(1, p)) for i, p in enumerate(PRIMES)
+    ],
+}
+
+
 def make_instance(seed: int, n: int, grid: int = 10) -> TrajectorySet:
     """Seeded random instance on the default grid."""
     return generate_instance(GeneratorConfig(seed=seed, n=n, grid=grid))

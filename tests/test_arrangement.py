@@ -17,15 +17,26 @@ from kinclust import (
     separates,
     side_partition,
 )
-from kinclust.oracle import brute_opt_sd
+from kinclust.oracle import brute_opt_sd, holes_slab, poset_by_inclusion
 
-from conftest import make_instance
+from conftest import DEGENERATE_FAMILIES, make_instance
 
 F = Fraction
 
 
 def holes_by_left_set(S):
     return {h.left_set: h for h in compute_holes(S)}
+
+
+def hasse_edges(poset):
+    """Cover relations of the poset: A -> B with A < B and nothing strictly between."""
+    edges = []
+    for a in poset.elements:
+        sups = poset.successors[a]
+        for b in sups:
+            if not any(a < c < b for c in sups):
+                edges.append((a, b))
+    return tuple(edges)
 
 
 class TestComputeHoles:
@@ -128,6 +139,63 @@ class TestComputeHoles:
                     assert lo <= hi
                     for i in range(len(S)):
                         assert not lo < S[i].position(t) < hi
+
+
+# Families that stress the event sweep: several pencils at one time, a line
+# passing between them, an integer grid full of concurrent crossings, and
+# crossing times too close for floats to tell apart.
+SWEEP_FAMILIES = {
+    **DEGENERATE_FAMILIES,
+    "two-pencils-one-time": [(i, -i) for i in range(-2, 3)] + [(10 + i, 10 - i) for i in range(-2, 3)],
+    "three-pencils-and-a-bystander": [(i, -i) for i in (-1, 1)]
+    + [(3 + i, 3 - i) for i in (-2, 0, 2)]
+    + [(7 + i, 7 - i) for i in (-1, 1)]
+    + [(5, 0)],
+    "integer-grid": [(a, b) for a in range(4) for b in range(4)],
+    # Lines 0 and 1 cross at t=1/3; line 2 crosses line 1, and line 3
+    # crosses line 0, at t=1/3 + 10^-20, whose float equals that of 1/3,
+    # so only the exact times put the events in order.
+    "equal-float-times": [
+        (-F(1, 3), F(2, 3)),
+        (F(1, 3), -F(2, 3)),
+        (-F(1, 10**20) - 3 * (F(1, 3) + F(1, 10**20)), -F(1, 10**20) + 3 * (F(2, 3) - F(1, 10**20))),
+        (F(1, 10**20) + 3 * (F(1, 3) + F(1, 10**20)), F(1, 10**20) - 3 * (F(2, 3) - F(1, 10**20))),
+    ],
+}
+
+
+def _assert_sweep_matches_referees(S):
+    holes = compute_holes(S)
+    assert holes == holes_slab(S)
+    poset = build_poset(S, holes)
+    reference = poset_by_inclusion(S, holes)
+    assert poset.elements == reference.elements
+    assert poset.successors == reference.successors
+
+
+class TestSweepMatchesReferees:
+    """The event sweep and the bitset poset against the slab-sort and
+    frozenset-comparison referees in ``kinclust.oracle``."""
+
+    def test_random_small(self):
+        for trial in range(60):
+            n = 1 + trial % 12
+            _assert_sweep_matches_referees(make_instance(16000 + trial, n))
+
+    @pytest.mark.parametrize("n", [24, 40, 64])
+    def test_random_beyond_brute_force(self, n):
+        for seed in range(2 if n == 64 else 3):
+            _assert_sweep_matches_referees(make_instance(17000 + seed, n))
+
+    @pytest.mark.parametrize("grid", [1, 2, 1000])
+    def test_coarse_and_fine_grids(self, grid):
+        # On a coarse grid many crossings share a time or a point.
+        for seed in range(4):
+            _assert_sweep_matches_referees(make_instance(18000 + seed, 20, grid=grid))
+
+    @pytest.mark.parametrize("pairs", list(SWEEP_FAMILIES.values()), ids=list(SWEEP_FAMILIES))
+    def test_degenerate_families(self, pairs):
+        _assert_sweep_matches_referees(TrajectorySet.from_pairs(pairs))
 
 
 class TestSidePredicates:
@@ -297,7 +365,7 @@ class TestSixTrajectoryDag:
             for b in sets:
                 if a < b and not any(a < c < b for c in sets):
                     covers.add((a, b))
-        assert set(poset.hasse_edges()) == covers
+        assert set(hasse_edges(poset)) == covers
         assert len(covers) == 44
 
     def test_isomorphic_to_reference_dag(self):
@@ -305,7 +373,7 @@ class TestSixTrajectoryDag:
         poset = build_poset(self.S, compute_holes(self.S))
         ours = networkx.DiGraph()
         ours.add_edges_from(
-            (tuple(sorted(a)), tuple(sorted(b))) for a, b in poset.hasse_edges()
+            (tuple(sorted(a)), tuple(sorted(b))) for a, b in hasse_edges(poset)
         )
         reference = networkx.DiGraph()
         sets = [frozenset(c) for c in self.EXPECTED_SIDE_SETS]

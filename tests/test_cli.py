@@ -129,6 +129,10 @@ class TestMd:
     def test_missing_k(self, quartet_file, capsys):
         assert main(["md", "bsearch", quartet_file]) == 1
 
+    def test_bsearch_k_above_n_rejected(self, quartet_file, capsys):
+        assert main(["md", "bsearch", quartet_file, "-k", "5"]) == 1
+        assert "k must satisfy 1 <= k <= 4" in capsys.readouterr().err
+
     def test_huge_exponent_options_rejected(self, quartet_file, capsys):
         assert main(["md", "bsearch", quartet_file, "-k", "2", "--eps", "1e-4301"]) == 1
         assert main(["md", "gp", quartet_file, "-D", "1e4301"]) == 1

@@ -12,7 +12,6 @@ import pickle
 import random
 import sys
 import threading
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -27,15 +26,14 @@ from kinclust import (
     dumps_instance,
     envelope,
     md_wellsep_dp,
+    pairwise_diameter,
     parse_instance,
     sd_exact_goodseq,
     sd_wellsep_dp,
 )
 from kinclust.oracle import envelope_grid, span_area_grid
 
-from conftest import make_instance
-
-PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+from conftest import DEGENERATE_FAMILIES, make_instance
 
 
 def _assert_matches_referees(S, C):
@@ -68,37 +66,7 @@ class TestKernelMatchesReferees:
                 _assert_matches_referees(S, frozenset(C))
 
     @pytest.mark.parametrize(
-        "pairs",
-        [
-            # pencil through x=0 at t=1/2
-            [(i, -i) for i in range(-4, 5)],
-            # pencil through x=1/3 at t=1/7, plus lines off the pencil
-            [(Fraction(1, 3) - Fraction(i, 7), Fraction(1, 3) + 6 * Fraction(i, 7)) for i in range(-3, 4)]
-            + [("5", "-5"), ("-2", "4")],
-            # every crossing exactly at t=0, or exactly at t=1
-            [(0, i) for i in range(-4, 5)],
-            [(i, 3) for i in range(-4, 5)],
-            # crossings at both strip edges together
-            [(0, 1), (0, -1), (1, 0), (-1, 0), (2, 2)],
-            # all parallel, and parallel families mixed with crossers
-            [(i, i + 2) for i in range(8)],
-            [(i, i) for i in range(5)] + [(0, 4), (4, 0), (Fraction(1, 2), Fraction(1, 2) + 1)],
-            # a single member
-            [("3/7", "-2")],
-            # pairwise co-prime denominators: the common denominator is huge
-            [(Fraction(1, p), Fraction(i % 5 - 2) - Fraction(1, p)) for i, p in enumerate(PRIMES)],
-        ],
-        ids=[
-            "pencil-mid",
-            "pencil-off-grid",
-            "pencil-at-0",
-            "pencil-at-1",
-            "pencils-at-both-edges",
-            "all-parallel",
-            "parallel-mixed",
-            "single",
-            "coprime-denominators",
-        ],
+        "pairs", list(DEGENERATE_FAMILIES.values()), ids=list(DEGENERATE_FAMILIES)
     )
     def test_degenerate_families(self, pairs):
         S = TrajectorySet.from_pairs(pairs)
@@ -123,6 +91,43 @@ class TestKernelMatchesReferees:
         diameter(S, {0, 1})
         with pytest.raises(ValueError):
             diameter(S, {0, True})
+
+
+class TestPairRows:
+    """The kernel's integer pairwise rows against ``pairwise_diameter``."""
+
+    @staticmethod
+    def _assert_rows_exact(S):
+        kernel = S.kernel
+        n = len(S)
+        for i in range(n):
+            row = kernel.pair_row(i)
+            assert row == tuple(pairwise_diameter(S[i], S[j]) for j in range(n))
+            assert kernel.pair_row(i) is row  # memoized
+        if n >= 2:
+            assert kernel.min_pair_area() == min(
+                pairwise_diameter(S[i], S[j]) for i in range(n) for j in range(i + 1, n)
+            )
+
+    @pytest.mark.parametrize("n", [2, 9, 33, 64])
+    def test_random_instances(self, n):
+        for seed in range(3):
+            self._assert_rows_exact(make_instance(19000 + seed, n))
+
+    @pytest.mark.parametrize(
+        "pairs", list(DEGENERATE_FAMILIES.values()), ids=list(DEGENERATE_FAMILIES)
+    )
+    def test_degenerate_families(self, pairs):
+        self._assert_rows_exact(TrajectorySet.from_pairs(pairs))
+
+    def test_only_rows_asked_for_are_kept(self):
+        S = make_instance(5, 40)
+        bsearch(S, 3)
+        assert 0 < len(S.kernel.rows) < len(S)
+
+    def test_min_pair_area_needs_two_members(self):
+        with pytest.raises(ValueError):
+            TrajectorySet.from_pairs([("0", "1")]).kernel.min_pair_area()
 
 
 # --- metamorphic properties ---------------------------------------------

@@ -24,6 +24,30 @@ def min_pairwise(S):
     return min(pairwise_diameter(S[i], S[j]) for i in range(n) for j in range(i + 1, n))
 
 
+def gp_by_definition(S, D):
+    """gp straight from its definition, one pairwise_diameter per test."""
+    order = sorted(range(len(S)), key=lambda i: S[i])
+    taken = set()
+    clusters = []
+    for s in order:
+        if s not in taken:
+            members = {j for j in order if j not in taken and pairwise_diameter(S[s], S[j]) <= D}
+            taken |= members
+            clusters.append(frozenset(members))
+    return tuple(clusters)
+
+
+def kcenter_by_definition(S, k):
+    """Farthest-point seeding and nearest-center assignment, from the definition."""
+    n = len(S)
+    dist = lambda i, j: pairwise_diameter(S[i], S[j])  # noqa: E731
+    centers = [min(range(n), key=lambda i: S[i])]
+    while len(centers) < k:
+        centers.append(max(range(n), key=lambda i: (min(dist(c, i) for c in centers), -i)))
+    assignment = tuple(min(centers, key=lambda c: (dist(c, i), c)) for i in range(n))
+    return tuple(centers), assignment
+
+
 class TestMdValue:
     def test_singletons(self, three_lines):
         assert md_value(three_lines, [{0}, {1}, {2}]) == 0
@@ -48,6 +72,16 @@ class TestGp:
         clusters = gp(S, 0)
         assert len(clusters) == 7
         assert all(len(c) == 1 for c in clusters)
+
+    @pytest.mark.parametrize("n", [7, 24, 48])
+    def test_matches_definition(self, n):
+        # Thresholds include exact pairwise values, where <= decides.
+        rng = random.Random(n)
+        for seed in range(3):
+            S = make_instance(19500 + seed, n)
+            pairs = [pairwise_diameter(S[i], S[j]) for i in range(n) for j in range(i + 1, n)]
+            for D in [0, *rng.sample(pairs, 6), max(pairs) / 3, max(pairs)]:
+                assert gp(S, D) == gp_by_definition(S, D)
 
     def test_verticals_merge_at_unit_threshold(self, two_verticals):
         assert gp(two_verticals, 1) == (frozenset({0, 1}),)
@@ -104,12 +138,18 @@ class TestGp:
 
 
 class TestBsearch:
-    def test_k_at_least_n_gives_singletons(self):
+    def test_k_equals_n_gives_singletons(self):
         S = make_instance(81, 5)
-        for k in (5, 7):
-            sol = bsearch(S, k)
-            assert sol.value == 0
-            assert all(len(c) == 1 for c in sol.clustering)
+        sol = bsearch(S, 5)
+        assert sol.value == 0
+        assert all(len(c) == 1 for c in sol.clustering)
+
+    @pytest.mark.parametrize("k", [0, -1, 6, 7])
+    def test_k_outside_1_to_n_rejected(self, k):
+        # the same rule as kcenter_gonzalez and the sum-of-diameters solvers
+        S = make_instance(81, 5)
+        with pytest.raises(ValueError, match=r"k must satisfy 1 <= k <= 5"):
+            bsearch(S, k)
 
     def test_invalid_eps(self, quartet):
         with pytest.raises(ValueError):
@@ -167,6 +207,14 @@ class TestKcenter:
         centers, clustering = kcenter_gonzalez(S, 1)
         assert S[centers.centers[0]] == bottom_leftmost(S, S.all_indices())
         assert clustering == (frozenset(range(6)),)
+
+    @pytest.mark.parametrize("n", [6, 24, 48])
+    def test_matches_definition(self, n):
+        for seed in range(3):
+            S = make_instance(19700 + seed, n)
+            for k in (1, 2, 4, n if n <= 24 else 9):
+                centers, _ = kcenter_gonzalez(S, k)
+                assert (centers.centers, centers.assignment) == kcenter_by_definition(S, k)
 
     def test_out_of_range(self, quartet):
         for bad in (0, 5):
