@@ -25,6 +25,7 @@ from .geometry import (
     Clustering,
     Envelope,
     Scalar,
+    Solution,
     Trajectory,
     TrajectorySet,
     as_cluster,
@@ -49,7 +50,6 @@ from .instances import (
 from .max_diameter import (
     GP_FACTOR,
     CenterSet,
-    MdSolution,
     bsearch,
     gp,
     kcenter_gonzalez,
@@ -66,7 +66,6 @@ from .oracle import (
 from .render import render_svg
 from .sum_diameter import (
     GoodSequence,
-    SdSolution,
     md_wellsep_dp,
     sd_exact_goodseq,
     sd_value,
@@ -85,10 +84,9 @@ __all__ = [
     "GP_FACTOR",
     "Hole",
     "InstanceError",
-    "MdSolution",
     "Scalar",
-    "SdSolution",
     "SeparatorPoset",
+    "Solution",
     "Trajectory",
     "TrajectorySet",
     "as_cluster",

@@ -39,12 +39,6 @@ class Hole:
     t_hi: Fraction
     kind: HoleKind
 
-    def extent(self) -> tuple[Fraction, Fraction]:
-        return (self.t_lo, self.t_hi)
-
-
-HoleSet = tuple
-
 
 def compute_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     """All faces of the arrangement, one Hole per face.
@@ -270,11 +264,13 @@ def build_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:
 
 
 def _inclusion_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:
-    full = S.all_indices()
+    # Complements are frozen from a set, so that each frozenset's table is
+    # sized to its members rather than grown one member at a time.
+    full = set(range(len(S)))
     sets = set()
     for h in holes:
         sets.add(h.left_set)
-        sets.add(full - h.left_set)
+        sets.add(frozenset(full - h.left_set))
     elements = tuple(sorted(sets, key=lambda c: (len(c), tuple(sorted(c)))))
     # containing[i] flags the elements holding i; element e carries the flag
     # 1 << (m - 1 - e) of m, so each is read from one base-2 numeral.

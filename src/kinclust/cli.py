@@ -2,7 +2,7 @@
 
 Subcommands: ``holes`` (face table), ``sd`` and ``md`` (solvers), ``gen``
 (seeded instance generator), ``render`` (SVG).  Exit codes: 0 on success,
-2 when a solver reports infeasibility, 1 on any input error.
+1 on any input or usage error.
 """
 
 from __future__ import annotations
@@ -27,14 +27,24 @@ from .oracle import brute_opt_md, brute_opt_sd
 from .render import render_svg
 from .sum_diameter import md_wellsep_dp, sd_exact_goodseq, sd_wellsep_dp
 
+# The solvers of (command, solver) that take (S, k) and return a Solution.
+_SOLVERS = {
+    ("sd", "exact"): sd_exact_goodseq,
+    ("sd", "wellsep"): sd_wellsep_dp,
+    ("sd", "brute"): brute_opt_sd,
+    ("md", "wellsep"): md_wellsep_dp,
+    ("md", "brute"): brute_opt_md,
+}
+_OBJECTIVE_NAMES = {"sd": "sum of diameters", "md": "max diameter"}
+
 
 class _UsageError(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; the CLI reserves 2 for
-    # infeasible solver results, so usage problems are remapped to 1.
+    # argparse exits with status 2 on usage errors; every input error exits
+    # with 1, so usage errors are remapped to 1 as well.
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
 
@@ -47,12 +57,6 @@ def _load(path: str) -> TrajectorySet:
     return parse_instance(Path(path).read_bytes())
 
 
-def _print_clustering(S: TrajectorySet, clustering) -> None:
-    for i, C in enumerate(clustering):
-        d = diameter(S, C)
-        print(f"cluster {i}: {sorted(C)} diameter = {_fmt(d)}")
-
-
 def _cmd_holes(args) -> int:
     S = _load(args.file)
     holes = compute_holes(S)
@@ -63,49 +67,26 @@ def _cmd_holes(args) -> int:
     return 0
 
 
-def _cmd_sd(args) -> int:
+def _cmd_solve(args) -> int:
     S = _load(args.file)
-    solver = {
-        "exact": sd_exact_goodseq,
-        "wellsep": sd_wellsep_dp,
-        "brute": brute_opt_sd,
-    }[args.solver]
-    sol = solver(S, args.k)
-    if not sol.feasible:
-        print("infeasible: no chain of nested separators is long enough", file=sys.stderr)
-        return 2
-    _print_clustering(S, sol.clustering)
-    print(f"clusters: {len(sol.clustering)}")
-    print(f"sum of diameters = {_fmt(sol.value)}")
-    return 0
-
-
-def _cmd_md(args) -> int:
-    S = _load(args.file)
+    tally = None
     if args.solver == "gp":
         clustering = gp(S, args.threshold)
-        _print_clustering(S, clustering)
-        print(f"clusters: {len(clustering)}")
-        print(f"max diameter = {_fmt(md_value(S, clustering))}")
-        return 0
-    if args.solver == "bsearch":
-        sol = bsearch(S, args.k, args.eps)
+        value = md_value(S, clustering)
     elif args.solver == "kcenter":
         centers, clustering = kcenter_gonzalez(S, args.k)
-        _print_clustering(S, clustering)
-        print(f"centers: {list(centers.centers)}")
-        print(f"max diameter = {_fmt(md_value(S, clustering))}")
-        return 0
-    elif args.solver == "wellsep":
-        sol = md_wellsep_dp(S, args.k)
+        value = md_value(S, clustering)
+        tally = f"centers: {list(centers.centers)}"
     else:
-        sol = brute_opt_md(S, args.k)
-    if not sol.feasible:
-        print("infeasible: no chain of nested separators is long enough", file=sys.stderr)
-        return 2
-    _print_clustering(S, sol.clustering)
-    print(f"clusters: {len(sol.clustering)}")
-    print(f"max diameter = {_fmt(sol.value)}")
+        if args.solver == "bsearch":
+            sol = bsearch(S, args.k, args.eps)
+        else:
+            sol = _SOLVERS[args.command, args.solver](S, args.k)
+        clustering, value = sol.clustering, sol.value
+    for i, C in enumerate(clustering):
+        print(f"cluster {i}: {sorted(C)} diameter = {_fmt(diameter(S, C))}")
+    print(tally or f"clusters: {len(clustering)}")
+    print(f"{_OBJECTIVE_NAMES[args.command]} = {_fmt(value)}")
     return 0
 
 
@@ -154,7 +135,7 @@ def _build_parser() -> _Parser:
     p_sd.add_argument("solver", choices=["exact", "wellsep", "brute"])
     p_sd.add_argument("file")
     p_sd.add_argument("-k", type=int, required=True, help="number of clusters")
-    p_sd.set_defaults(handler=_cmd_sd)
+    p_sd.set_defaults(handler=_cmd_solve)
 
     p_md = sub.add_parser("md", help="minimize the maximum cluster diameter")
     p_md.add_argument("solver", choices=["gp", "bsearch", "kcenter", "wellsep", "brute"])
@@ -162,7 +143,7 @@ def _build_parser() -> _Parser:
     p_md.add_argument("-k", type=int, help="number of clusters")
     p_md.add_argument("-D", dest="threshold", help="gp growth threshold (exact decimal)")
     p_md.add_argument("--eps", default="0.05", help="bsearch precision (exact decimal)")
-    p_md.set_defaults(handler=_cmd_md)
+    p_md.set_defaults(handler=_cmd_solve)
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
     p_gen.add_argument("-n", type=int, required=True)

@@ -15,11 +15,16 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Literal, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Union
+
+if TYPE_CHECKING:
+    from .sum_diameter import GoodSequence
 
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 Side = Literal["left", "right"]
+# "sd" is the sum of the cluster diameters, "md" the largest of them.
+Objective = Literal["sd", "md"]
 
 # A cluster is a frozenset of trajectory indices; a clustering is a tuple of
 # pairwise-disjoint clusters covering all indices.
@@ -165,6 +170,27 @@ def normalize_clustering(clusters: Iterable[Iterable[int]]) -> Clustering:
     return tuple(live)
 
 
+@dataclass(frozen=True)
+class Solution:
+    """Result of a clustering solver, for either objective.
+
+    ``value`` is the ``objective`` of ``clustering``.  Only the solver's
+    own certificate is set: the split ``sequence`` of the exact solver,
+    the side-set ``chain`` of the well-separated dynamic program, or the
+    final ``interval``, ``delta`` and ``iterations`` of bsearch.
+    """
+
+    clustering: Clustering
+    value: Fraction
+    objective: Objective
+    method: str
+    sequence: GoodSequence | None = None
+    chain: tuple[frozenset, ...] | None = None
+    interval: tuple[Fraction, Fraction] | None = None
+    delta: Fraction | None = None
+    iterations: int | None = None
+
+
 def check_clustering(S: TrajectorySet, clustering: Iterable[Iterable[int]]) -> Clustering:
     """Validate that ``clustering`` partitions the index set of ``S``."""
     clusters = tuple(as_cluster(c, len(S)) for c in clustering)
@@ -222,9 +248,6 @@ class Envelope:
     """Piecewise-linear boundary of a span: breakpoints (t, x), t increasing 0..1."""
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
-
-    def times(self) -> tuple[Fraction, ...]:
-        return tuple(t for t, _ in self.breakpoints)
 
     def value(self, t: ScalarLike) -> Fraction:
         t = as_scalar(t)

@@ -16,6 +16,7 @@ from typing import Iterable
 from .geometry import (
     Clustering,
     ScalarLike,
+    Solution,
     TrajectorySet,
     as_scalar,
     diameter,
@@ -38,21 +39,6 @@ class CenterSet:
 
     centers: tuple[int, ...]
     assignment: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MdSolution:
-    """Result of a maximum-diameter solver."""
-
-    clustering: Clustering
-    value: Fraction
-    method: str
-    witnesses: tuple[int, ...] | None = None
-    interval: tuple[Fraction, Fraction] | None = None
-    delta: Fraction | None = None
-    iterations: int | None = None
-    chain: tuple[frozenset, ...] | None = None
-    feasible: bool = True
 
 
 def gp(S: TrajectorySet, D: ScalarLike) -> Clustering:
@@ -82,11 +68,7 @@ def gp(S: TrajectorySet, D: ScalarLike) -> Clustering:
     return tuple(clusters)
 
 
-def _representatives(S: TrajectorySet, clustering: Clustering) -> tuple[int, ...]:
-    return tuple(min(C, key=lambda i: S[i]) for C in clustering)
-
-
-def bsearch(S: TrajectorySet, k: int, eps: ScalarLike = Fraction(1, 20)) -> MdSolution:
+def bsearch(S: TrajectorySet, k: int, eps: ScalarLike = Fraction(1, 20)) -> Solution:
     """Approximate binary search over the gp threshold.
 
     Halves [0, diameter(S)] until the interval is shorter than
@@ -104,13 +86,12 @@ def bsearch(S: TrajectorySet, k: int, eps: ScalarLike = Fraction(1, 20)) -> MdSo
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     if k == n:
         singletons = normalize_clustering([frozenset([i]) for i in range(n)])
-        return MdSolution(
+        return Solution(
             singletons,
             Fraction(0),
+            "md",
             "bsearch",
-            witnesses=tuple(range(n)),
             interval=(Fraction(0), Fraction(0)),
-            delta=None,
             iterations=0,
         )
 
@@ -130,11 +111,11 @@ def bsearch(S: TrajectorySet, k: int, eps: ScalarLike = Fraction(1, 20)) -> MdSo
     if clusters is None or len(clusters) > k:
         clusters = gp(S, b)
     clustering = normalize_clustering(clusters)
-    return MdSolution(
+    return Solution(
         clustering,
         md_value(S, clustering),
+        "md",
         "bsearch",
-        witnesses=_representatives(S, clustering),
         interval=(a, b),
         delta=delta,
         iterations=iterations,

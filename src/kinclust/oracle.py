@@ -19,15 +19,15 @@ from typing import Iterator
 from .arrangement import Hole, HoleKind, SeparatorPoset, compute_holes, is_well_separated
 from .geometry import (
     Envelope,
+    Objective,
     Side,
+    Solution,
     TrajectorySet,
     as_cluster,
     canonical_key,
     crossing_time,
     diameter,
 )
-from .max_diameter import MdSolution
-from .sum_diameter import SdSolution
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -35,10 +35,8 @@ _ONE = Fraction(1)
 # Bell(12) is about 4.2 million, the ceiling for desk-scale exhaustion.
 MAX_BRUTE_N = 12
 
-PartitionStream = Iterator
 
-
-def enumerate_partitions(n: int, k: int) -> PartitionStream:
+def enumerate_partitions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All partitions of {0..n-1} into at most k nonempty blocks, each once.
 
     Blocks are emitted as sorted tuples ordered by their smallest element
@@ -90,12 +88,13 @@ def _scan(S: TrajectorySet, k: int, wellsep_only: bool):
         yield clusters, sum(diams, _ZERO), max(diams)
 
 
-def _best(candidates, value_index: int):
+def _best(candidates, objective: Objective):
+    """(value, clusters) of the best candidate, ties to the canonical key."""
     best_value = None
     best_key = None
     best_clusters = None
     for clusters, sd, md in candidates:
-        value = (sd, md)[value_index]
+        value = sd if objective == "sd" else md
         if best_value is None or value < best_value:
             best_value, best_key, best_clusters = value, None, clusters
         elif value == best_value:
@@ -105,35 +104,30 @@ def _best(candidates, value_index: int):
             key = canonical_key(clusters)
             if key < best_key:
                 best_key, best_clusters = key, clusters
-    if best_value is None:
-        return None
-    return (best_value, best_key), best_clusters
+    return best_value, best_clusters
 
 
-def brute_opt_sd(S: TrajectorySet, k: int) -> SdSolution:
+def brute_opt_sd(S: TrajectorySet, k: int) -> Solution:
     """Exact optimum of the diameter sum over all partitions into <= k blocks."""
-    (value, _), clusters = _best(_scan(S, k, wellsep_only=False), 0)
-    return SdSolution(clusters, value, "brute")
+    value, clusters = _best(_scan(S, k, wellsep_only=False), "sd")
+    return Solution(clusters, value, "sd", "brute")
 
 
-def brute_opt_md(S: TrajectorySet, k: int) -> MdSolution:
+def brute_opt_md(S: TrajectorySet, k: int) -> Solution:
     """Exact optimum of the maximum diameter over all partitions into <= k blocks."""
-    (value, _), clusters = _best(_scan(S, k, wellsep_only=False), 1)
-    return MdSolution(clusters, value, "brute")
+    value, clusters = _best(_scan(S, k, wellsep_only=False), "md")
+    return Solution(clusters, value, "md", "brute")
 
 
-def brute_opt_wellsep(S: TrajectorySet, k: int, objective: str):
-    """Exact optimum over well-separated partitions into <= k blocks only."""
+def brute_opt_wellsep(S: TrajectorySet, k: int, objective: Objective) -> Solution:
+    """Exact optimum over well-separated partitions into <= k blocks only.
+
+    {S} alone is always well separated, so some partition qualifies.
+    """
     if objective not in ("sd", "md"):
         raise ValueError(f"objective must be 'sd' or 'md', got {objective!r}")
-    index = 0 if objective == "sd" else 1
-    best = _best(_scan(S, k, wellsep_only=True), index)
-    if best is None:  # cannot happen: {S} alone is always well separated
-        cls = SdSolution if objective == "sd" else MdSolution
-        return cls((), Fraction(0), "wellsep-brute", feasible=False)
-    (value, _), clusters = best
-    cls = SdSolution if objective == "sd" else MdSolution
-    return cls(clusters, value, "wellsep-brute")
+    value, clusters = _best(_scan(S, k, wellsep_only=True), objective)
+    return Solution(clusters, value, objective, "wellsep-brute")
 
 
 def numeric_diameter(S: TrajectorySet, C, steps: int) -> Fraction:

@@ -20,12 +20,12 @@ from typing import Callable, Iterable
 from .arrangement import Hole, build_poset, compute_holes, hole_within_span
 from .geometry import (
     Clustering,
+    Solution,
     TrajectorySet,
     canonical_key,
     diameter,
     normalize_clustering,
 )
-from .max_diameter import MdSolution
 
 
 def sd_value(S: TrajectorySet, clustering: Iterable[Iterable[int]]) -> Fraction:
@@ -60,19 +60,7 @@ class GoodSequence:
         return normalize_clustering(current)
 
 
-@dataclass(frozen=True)
-class SdSolution:
-    """Result of a sum-of-diameters solver."""
-
-    clustering: Clustering
-    value: Fraction
-    method: str
-    sequence: GoodSequence | None = None
-    chain: tuple[frozenset, ...] | None = None
-    feasible: bool = True
-
-
-def sd_exact_goodseq(S: TrajectorySet, k: int) -> SdSolution:
+def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
     """Exact optimum for the sum of diameters with at most k clusters.
 
     Enumerates every clustering reachable by k-1 hole-guided splits,
@@ -113,12 +101,12 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> SdSolution:
             best = (key, clustering, steps)
     assert best is not None, "split enumeration cannot dead-end for k <= n"
     (value, _), clustering, steps = best
-    return SdSolution(clustering, value, "exact-goodseq", sequence=GoodSequence(steps))
+    return Solution(clustering, value, "sd", "exact-goodseq", sequence=GoodSequence(steps))
 
 
 def _wellsep_chain_dp(
     S: TrajectorySet, k: int, combine: Callable[[Fraction, Fraction], Fraction]
-) -> tuple[Clustering, Fraction, tuple[frozenset, ...], bool]:
+) -> tuple[Clustering, Fraction, tuple[frozenset, ...]]:
     """Shared chain dynamic program over the side-set poset.
 
     State (C, j): best value of a well-separated j-clustering of the
@@ -149,21 +137,15 @@ def _wellsep_chain_dp(
         for C in order:
             if C == full:
                 continue
-            best_val = None
-            best_sup = None
+            # The full set is a strict superset of every other element.
+            best_val = best_sup = None
             for sup in poset.strict_supersets(C):
                 val = combine(block(sup, C), values[sup])
                 if best_val is None or val < best_val:
                     best_val, best_sup = val, sup
-            if best_val is not None:
-                nxt[C] = best_val
-                choice[(C, j)] = best_sup
+            nxt[C] = best_val
+            choice[(C, j)] = best_sup
         values = nxt
-
-    if empty not in values:
-        # Unreachable for 1 <= k <= n: the first slab's prefixes already
-        # form a full nested family.  Kept as a defensive signal.
-        return (normalize_clustering([full]), diameter(S, full), (), False)
 
     total = values[empty]
     chain = []
@@ -178,23 +160,23 @@ def _wellsep_chain_dp(
     for nxt_set in chain + [full]:
         clusters.append(nxt_set - prev)
         prev = nxt_set
-    return (normalize_clustering(clusters), total, tuple(chain), True)
+    return (normalize_clustering(clusters), total, tuple(chain))
 
 
-def sd_wellsep_dp(S: TrajectorySet, k: int) -> SdSolution:
+def sd_wellsep_dp(S: TrajectorySet, k: int) -> Solution:
     """Optimal well-separated clustering for the sum of diameters.
 
     Dynamic program over chains in the side-set poset; the traceback chain
     yields the clustering as consecutive set differences.
     """
-    clustering, value, chain, feasible = _wellsep_chain_dp(S, k, lambda a, b: a + b)
-    return SdSolution(clustering, value, "wellsep-dp", chain=chain, feasible=feasible)
+    clustering, value, chain = _wellsep_chain_dp(S, k, lambda a, b: a + b)
+    return Solution(clustering, value, "sd", "wellsep-dp", chain=chain)
 
 
-def md_wellsep_dp(S: TrajectorySet, k: int) -> MdSolution:
+def md_wellsep_dp(S: TrajectorySet, k: int) -> Solution:
     """Optimal well-separated clustering for the maximum diameter.
 
     Same chain dynamic program as the sum objective with + replaced by max.
     """
-    clustering, value, chain, feasible = _wellsep_chain_dp(S, k, max)
-    return MdSolution(clustering, value, "wellsep-dp", chain=chain, feasible=feasible)
+    clustering, value, chain = _wellsep_chain_dp(S, k, max)
+    return Solution(clustering, value, "md", "wellsep-dp", chain=chain)

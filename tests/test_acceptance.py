@@ -15,6 +15,7 @@ import pytest
 
 from kinclust import (
     GeneratorConfig,
+    Solution,
     Trajectory,
     TrajectorySet,
     bottom_leftmost_index,
@@ -42,7 +43,6 @@ from kinclust.oracle import (
     numeric_diameter,
     stirling2,
 )
-from kinclust.sum_diameter import SdSolution
 
 from conftest import INTERLEAVED_QUARTET, KCENTER_BOUND
 
@@ -60,9 +60,9 @@ class CorpusRecord:
     seed: int
     S: TrajectorySet
     k: int
-    sd_opt: SdSolution
-    md_opt: object
-    wellsep_sd_opt: SdSolution
+    sd_opt: Solution
+    md_opt: Solution
+    wellsep_sd_opt: Solution
 
 
 def _corpus_params():

@@ -139,6 +139,311 @@ class TestMd:
         assert "exponent" in capsys.readouterr().err
 
 
+# Exact values that recur in the golden outputs below.
+Q_ALL = "380102251195327810796124050399/228833846436303610305000000000 (1.66104034484)"
+Q_REST = "199463665530790863456041350133/198880518135808055152500000000 (1.00293214942)"
+Q_PAIR = "10669417382618904209/10669417382500000000 (1.00000000001)"
+
+# (exit code, stdout) of every sd and md solver, keyed by fixture and by the
+# command with the instance file left out; it goes after the solver name.
+GOLDEN = {
+    ("quartet", "sd exact -k 2"): (
+        0,
+        f"""\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1, 2, 3] diameter = {Q_REST}
+clusters: 2
+sum of diameters = {Q_REST}
+""",
+    ),
+    ("quartet", "sd wellsep -k 2"): (
+        0,
+        f"""\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1, 2, 3] diameter = {Q_REST}
+clusters: 2
+sum of diameters = {Q_REST}
+""",
+    ),
+    ("quartet", "sd brute -k 2"): (
+        0,
+        f"""\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1, 2, 3] diameter = {Q_REST}
+clusters: 2
+sum of diameters = {Q_REST}
+""",
+    ),
+    ("quartet", "sd exact -k 1"): (
+        0,
+        f"""\
+cluster 0: [0, 1, 2, 3] diameter = {Q_ALL}
+clusters: 1
+sum of diameters = {Q_ALL}
+""",
+    ),
+    ("quartet", "md gp -D 1.5"): (
+        0,
+        f"""\
+cluster 0: [0, 1, 2, 3] diameter = {Q_ALL}
+clusters: 1
+max diameter = {Q_ALL}
+""",
+    ),
+    ("quartet", "md bsearch -k 2"): (
+        0,
+        f"""\
+cluster 0: [0, 2] diameter = {Q_PAIR}
+cluster 1: [1, 3] diameter = {Q_PAIR}
+clusters: 2
+max diameter = {Q_PAIR}
+""",
+    ),
+    ("quartet", "md bsearch -k 2 --eps 0.1"): (
+        0,
+        f"""\
+cluster 0: [0, 2] diameter = {Q_PAIR}
+cluster 1: [1, 3] diameter = {Q_PAIR}
+clusters: 2
+max diameter = {Q_PAIR}
+""",
+    ),
+    ("quartet", "md bsearch -k 4"): (
+        0,
+        """\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1] diameter = 0 (0)
+cluster 2: [2] diameter = 0 (0)
+cluster 3: [3] diameter = 0 (0)
+clusters: 4
+max diameter = 0 (0)
+""",
+    ),
+    ("quartet", "md kcenter -k 2"): (
+        0,
+        f"""\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1, 2, 3] diameter = {Q_REST}
+centers: [0, 1]
+max diameter = {Q_REST}
+""",
+    ),
+    ("quartet", "md wellsep -k 2"): (
+        0,
+        f"""\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1, 2, 3] diameter = {Q_REST}
+clusters: 2
+max diameter = {Q_REST}
+""",
+    ),
+    ("quartet", "md brute -k 2"): (
+        0,
+        f"""\
+cluster 0: [0, 2] diameter = {Q_PAIR}
+cluster 1: [1, 3] diameter = {Q_PAIR}
+clusters: 2
+max diameter = {Q_PAIR}
+""",
+    ),
+    ("nested", "sd exact -k 3"): (
+        0,
+        """\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1, 2, 3] diameter = 61753/36180 (1.70682697623)
+cluster 2: [4] diameter = 0 (0)
+clusters: 3
+sum of diameters = 61753/36180 (1.70682697623)
+""",
+    ),
+    ("nested", "sd wellsep -k 3"): (
+        0,
+        """\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1, 2, 3] diameter = 61753/36180 (1.70682697623)
+cluster 2: [4] diameter = 0 (0)
+clusters: 3
+sum of diameters = 61753/36180 (1.70682697623)
+""",
+    ),
+    ("nested", "sd brute -k 3"): (
+        0,
+        """\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1, 2, 3] diameter = 61753/36180 (1.70682697623)
+cluster 2: [4] diameter = 0 (0)
+clusters: 3
+sum of diameters = 61753/36180 (1.70682697623)
+""",
+    ),
+    ("nested", "md gp -D 2"): (
+        0,
+        """\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1, 2, 3] diameter = 61753/36180 (1.70682697623)
+cluster 2: [4] diameter = 0 (0)
+clusters: 3
+max diameter = 61753/36180 (1.70682697623)
+""",
+    ),
+    ("nested", "md bsearch -k 3"): (
+        0,
+        """\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1, 2, 3] diameter = 61753/36180 (1.70682697623)
+cluster 2: [4] diameter = 0 (0)
+clusters: 3
+max diameter = 61753/36180 (1.70682697623)
+""",
+    ),
+    ("nested", "md kcenter -k 3"): (
+        0,
+        """\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1, 2, 3] diameter = 61753/36180 (1.70682697623)
+cluster 2: [4] diameter = 0 (0)
+centers: [0, 4, 1]
+max diameter = 61753/36180 (1.70682697623)
+""",
+    ),
+    ("nested", "md wellsep -k 3"): (
+        0,
+        """\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1, 2, 3] diameter = 61753/36180 (1.70682697623)
+cluster 2: [4] diameter = 0 (0)
+clusters: 3
+max diameter = 61753/36180 (1.70682697623)
+""",
+    ),
+    ("nested", "md brute -k 3"): (
+        0,
+        """\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1, 2, 3] diameter = 61753/36180 (1.70682697623)
+cluster 2: [4] diameter = 0 (0)
+clusters: 3
+max diameter = 61753/36180 (1.70682697623)
+""",
+    ),
+    ("nested", "sd exact -k 2"): (
+        0,
+        """\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1, 2, 3, 4] diameter = 4719/1340 (3.52164179104)
+clusters: 2
+sum of diameters = 4719/1340 (3.52164179104)
+""",
+    ),
+    ("nested", "sd wellsep -k 2"): (
+        0,
+        """\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1, 2, 3, 4] diameter = 4719/1340 (3.52164179104)
+clusters: 2
+sum of diameters = 4719/1340 (3.52164179104)
+""",
+    ),
+    ("nested", "sd brute -k 2"): (
+        0,
+        """\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1, 2, 3, 4] diameter = 4719/1340 (3.52164179104)
+clusters: 2
+sum of diameters = 4719/1340 (3.52164179104)
+""",
+    ),
+    ("nested", "md gp -D 0.5"): (
+        0,
+        """\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1] diameter = 0 (0)
+cluster 2: [2] diameter = 0 (0)
+cluster 3: [3] diameter = 0 (0)
+cluster 4: [4] diameter = 0 (0)
+clusters: 5
+max diameter = 0 (0)
+""",
+    ),
+    ("nested", "md bsearch -k 2"): (
+        0,
+        """\
+cluster 0: [0, 1] diameter = 53/20 (2.65)
+cluster 1: [2, 3, 4] diameter = 3 (3)
+clusters: 2
+max diameter = 3 (3)
+""",
+    ),
+    ("nested", "md kcenter -k 2"): (
+        0,
+        """\
+cluster 0: [0, 1] diameter = 53/20 (2.65)
+cluster 1: [2, 3, 4] diameter = 3 (3)
+centers: [0, 4]
+max diameter = 3 (3)
+""",
+    ),
+    ("nested", "md wellsep -k 2"): (
+        0,
+        """\
+cluster 0: [0, 1] diameter = 53/20 (2.65)
+cluster 1: [2, 3, 4] diameter = 3 (3)
+clusters: 2
+max diameter = 3 (3)
+""",
+    ),
+    ("nested", "md brute -k 2"): (
+        0,
+        """\
+cluster 0: [0, 1] diameter = 53/20 (2.65)
+cluster 1: [2, 3, 4] diameter = 3 (3)
+clusters: 2
+max diameter = 3 (3)
+""",
+    ),
+    ("nested", "sd wellsep -k 5"): (
+        0,
+        """\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1] diameter = 0 (0)
+cluster 2: [2] diameter = 0 (0)
+cluster 3: [3] diameter = 0 (0)
+cluster 4: [4] diameter = 0 (0)
+clusters: 5
+sum of diameters = 0 (0)
+""",
+    ),
+    ("nested", "md wellsep -k 5"): (
+        0,
+        """\
+cluster 0: [0] diameter = 0 (0)
+cluster 1: [1] diameter = 0 (0)
+cluster 2: [2] diameter = 0 (0)
+cluster 3: [3] diameter = 0 (0)
+cluster 4: [4] diameter = 0 (0)
+clusters: 5
+max diameter = 0 (0)
+""",
+    ),
+    ("quartet", "sd exact -k 9"): (1, ""),
+    ("quartet", "md bsearch -k 5"): (1, ""),
+    ("quartet", "md wellsep -k 0"): (1, ""),
+    ("nested", "md gp -D -1"): (1, ""),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize(
+        "name, command", list(GOLDEN), ids=[f"{n} {c}".replace(" ", "_") for n, c in GOLDEN]
+    )
+    def test_output_is_byte_identical(self, name, command, tmp_path, capsys):
+        path = tmp_path / f"{name}.json"
+        path.write_text({"quartet": QUARTET, "nested": NESTED}[name])
+        objective, solver, *options = command.split()
+        code = main([objective, solver, str(path), *options])
+        assert (code, capsys.readouterr().out) == GOLDEN[name, command]
+
+
 class TestGen:
     def test_writes_parseable_deterministic_file(self, tmp_path, capsys):
         out1 = tmp_path / "a.json"
