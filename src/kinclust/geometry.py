@@ -327,10 +327,14 @@ class SpanKernel:
     ``spans`` memoizes span areas by cluster and ``rows`` the pairwise
     span-area rows of the members asked for; ``holes`` and ``poset`` hold
     the arrangement's hole table and side-set poset once computed (see
-    ``arrangement``).  The kernel lives and dies with its instance.
+    ``arrangement``), and ``chain_table`` the block areas and layers of
+    the well-separated dynamic program (see ``sum_diameter.ChainTable``).
+    The kernel lives and dies with its instance.
     """
 
-    __slots__ = ("den", "lines", "rank", "leftmost", "spans", "rows", "holes", "poset")
+    __slots__ = (
+        "den", "lines", "rank", "leftmost", "spans", "rows", "holes", "poset", "chain_table"
+    )
 
     def __init__(self, trajectories: tuple[Trajectory, ...]) -> None:
         den = math.lcm(*(x.denominator for s in trajectories for x in (s.x0, s.x1)))
@@ -351,6 +355,7 @@ class SpanKernel:
         self.rows: dict[int, tuple[Fraction, ...]] = {}
         self.holes = None
         self.poset = None
+        self.chain_table = None
 
     def ordered(self, members: frozenset) -> list[tuple[int, int]]:
         """The members' (v, a) lines, sorted by slope, then intercept."""

@@ -5,8 +5,9 @@ optima over all or only well-separated clusterings, Stirling counting
 checks, a numeric Riemann cross-check of the exact span area, and slow
 exact referees for the kernel: span areas by trapezoids over the
 pairwise crossing-time grid, envelopes read off at slab midpoints, holes
-from a re-sort of the trajectories in every slab, and the side-set poset
-from frozenset comparisons.  Diameters come straight from the core
+from a re-sort of the trajectories in every slab, the side-set poset
+from frozenset comparisons, and the well-separated chain DP over
+frozensets and Fractions.  Diameters come straight from the core
 geometry; nothing here reuses solver logic.
 """
 
@@ -27,6 +28,7 @@ from .geometry import (
     canonical_key,
     crossing_time,
     diameter,
+    normalize_clustering,
 )
 
 _ZERO = Fraction(0)
@@ -88,35 +90,49 @@ def _scan(S: TrajectorySet, k: int, wellsep_only: bool):
         yield clusters, sum(diams, _ZERO), max(diams)
 
 
-def _best(candidates, objective: Objective):
-    """(value, clusters) of the best candidate, ties to the canonical key."""
-    best_value = None
-    best_key = None
-    best_clusters = None
-    for clusters, sd, md in candidates:
-        value = sd if objective == "sd" else md
-        if best_value is None or value < best_value:
-            best_value, best_key, best_clusters = value, None, clusters
-        elif value == best_value:
-            # ties are rare; compute canonical keys lazily
-            if best_key is None:
-                best_key = canonical_key(best_clusters)
+class _Best:
+    """The best (value, clusters) offered so far, ties to the canonical key."""
+
+    __slots__ = ("value", "key", "clusters")
+
+    def __init__(self) -> None:
+        self.value = self.key = self.clusters = None
+
+    def offer(self, value: Fraction, clusters: tuple) -> None:
+        if self.value is None or value < self.value:
+            self.value, self.key, self.clusters = value, None, clusters
+        elif value == self.value:
+            # canonical keys are computed lazily, on ties only
+            if self.key is None:
+                self.key = canonical_key(self.clusters)
             key = canonical_key(clusters)
-            if key < best_key:
-                best_key, best_clusters = key, clusters
-    return best_value, best_clusters
+            if key < self.key:
+                self.key, self.clusters = key, clusters
+
+
+def brute_opt(S: TrajectorySet, k: int) -> tuple[Solution, Solution]:
+    """Exact optima over all partitions into <= k blocks, from one enumeration.
+
+    Returns the (sum of diameters, maximum diameter) pair of Solutions.
+    """
+    sd, md = _Best(), _Best()
+    for clusters, sd_value, md_value in _scan(S, k, wellsep_only=False):
+        sd.offer(sd_value, clusters)
+        md.offer(md_value, clusters)
+    return (
+        Solution(sd.clusters, sd.value, "sd", "brute"),
+        Solution(md.clusters, md.value, "md", "brute"),
+    )
 
 
 def brute_opt_sd(S: TrajectorySet, k: int) -> Solution:
     """Exact optimum of the diameter sum over all partitions into <= k blocks."""
-    value, clusters = _best(_scan(S, k, wellsep_only=False), "sd")
-    return Solution(clusters, value, "sd", "brute")
+    return brute_opt(S, k)[0]
 
 
 def brute_opt_md(S: TrajectorySet, k: int) -> Solution:
     """Exact optimum of the maximum diameter over all partitions into <= k blocks."""
-    value, clusters = _best(_scan(S, k, wellsep_only=False), "md")
-    return Solution(clusters, value, "md", "brute")
+    return brute_opt(S, k)[1]
 
 
 def brute_opt_wellsep(S: TrajectorySet, k: int, objective: Objective) -> Solution:
@@ -126,8 +142,10 @@ def brute_opt_wellsep(S: TrajectorySet, k: int, objective: Objective) -> Solutio
     """
     if objective not in ("sd", "md"):
         raise ValueError(f"objective must be 'sd' or 'md', got {objective!r}")
-    value, clusters = _best(_scan(S, k, wellsep_only=True), objective)
-    return Solution(clusters, value, objective, "wellsep-brute")
+    best = _Best()
+    for clusters, sd, md in _scan(S, k, wellsep_only=True):
+        best.offer(sd if objective == "sd" else md, clusters)
+    return Solution(best.clusters, best.value, objective, "wellsep-brute")
 
 
 def numeric_diameter(S: TrajectorySet, C, steps: int) -> Fraction:
@@ -278,3 +296,64 @@ def poset_by_inclusion(S: TrajectorySet, holes) -> SeparatorPoset:
     sets = {h.left_set for h in holes} | {full - h.left_set for h in holes}
     elements = tuple(sorted(sets, key=lambda c: (len(c), tuple(sorted(c)))))
     return SeparatorPoset(elements, {a: tuple(b for b in elements if a < b) for a in elements})
+
+
+def wellsep_dp_by_sets(S: TrajectorySet, k: int, objective: Objective) -> Solution:
+    """The well-separated chain DP over frozensets, with Fraction values.
+
+    State (C, j) is the best value of a well-separated j-clustering of the
+    complement of C over chains of strictly nested side-sets of the
+    ``poset_by_inclusion`` poset; blocks are ``diameter`` calls on the set
+    differences, and values combine as Fractions, by sum ("sd") or max
+    ("md").  Ties go to the first minimal superset in canonical order, and
+    the traceback chain gives the clustering as consecutive set
+    differences.  A referee for ``sd_wellsep_dp`` and ``md_wellsep_dp``:
+    it returns the Solution they return, certificate included.
+    """
+    if objective not in ("sd", "md"):
+        raise ValueError(f"objective must be 'sd' or 'md', got {objective!r}")
+    n = len(S)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    combine = (lambda a, b: a + b) if objective == "sd" else max
+    poset = poset_by_inclusion(S, compute_holes(S))
+    full = S.all_indices()
+    empty = frozenset()
+
+    blocks = {
+        C: [(sup, diameter(S, sup - C)) for sup in poset.strict_supersets(C)]
+        for C in poset.elements
+    }
+
+    # Layer j looks only at layer j-1, so any sweep of the elements will do.
+    values = {C: _ZERO if C == full else diameter(S, full - C) for C in poset.elements}
+    choice: dict[tuple[frozenset, int], frozenset] = {}
+    for j in range(2, k + 1):
+        nxt = {full: _ZERO}
+        for C in poset.elements:
+            if C == full:
+                continue
+            # The full set is a strict superset of every other element.
+            best_val = best_sup = None
+            for sup, block in blocks[C]:
+                val = combine(block, values[sup])
+                if best_val is None or val < best_val:
+                    best_val, best_sup = val, sup
+            nxt[C] = best_val
+            choice[(C, j)] = best_sup
+        values = nxt
+
+    chain = []
+    C, j = empty, k
+    while C != full and j > 1:
+        C = choice[(C, j)]
+        j -= 1
+        if C != full:
+            chain.append(C)
+    clusters = []
+    prev = empty
+    for nxt_set in chain + [full]:
+        clusters.append(nxt_set - prev)
+        prev = nxt_set
+    clustering = normalize_clustering(clusters)
+    return Solution(clustering, values[empty], objective, "wellsep-dp", chain=tuple(chain))

@@ -15,17 +15,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from math import gcd
+from typing import Iterable
 
-from .arrangement import Hole, build_poset, compute_holes, hole_within_span
+from .arrangement import Hole, SeparatorPoset, build_poset, compute_holes, hole_within_span
 from .geometry import (
     Clustering,
+    Objective,
     Solution,
+    SpanKernel,
     TrajectorySet,
     canonical_key,
     diameter,
     normalize_clustering,
 )
+
+_ZERO = Fraction(0)
 
 
 def sd_value(S: TrajectorySet, clustering: Iterable[Iterable[int]]) -> Fraction:
@@ -93,74 +98,139 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
                         nxt[child] = steps + ((h, C),)
         frontier = nxt
 
-    best = None
+    # Ties go to the smaller canonical key, built only when a value ties.
+    best_value = best_key = best = None
     for clustering, steps in frontier.items():
         value = sd_value(S, clustering)
-        key = (value, canonical_key(clustering))
-        if best is None or key < best[0]:
-            best = (key, clustering, steps)
+        if best is None or value < best_value:
+            best_value, best_key, best = value, None, (clustering, steps)
+        elif value == best_value:
+            if best_key is None:
+                best_key = canonical_key(best[0])
+            key = canonical_key(clustering)
+            if key < best_key:
+                best_key, best = key, (clustering, steps)
     assert best is not None, "split enumeration cannot dead-end for k <= n"
-    (value, _), clustering, steps = best
-    return Solution(clustering, value, "sd", "exact-goodseq", sequence=GoodSequence(steps))
+    clustering, steps = best
+    return Solution(clustering, best_value, "sd", "exact-goodseq", sequence=GoodSequence(steps))
 
 
-def _wellsep_chain_dp(
-    S: TrajectorySet, k: int, combine: Callable[[Fraction, Fraction], Fraction]
-) -> tuple[Clustering, Fraction, tuple[frozenset, ...]]:
+class ChainTable:
+    """Per-instance table of the well-separated chain dynamic program.
+
+    Element e is ``elements[e]`` of the instance's side-set poset, in the
+    poset's canonical order, so the empty set is element 0 and the full
+    set the last one.  Its row holds its strict supersets as element
+    indices in ``succ[e]``, in canonical order, and the exact area of
+    each block (superset minus element) as the integers ``nums[e][i] /
+    dens[e][i]``.
+
+    ``layers`` maps (objective, j) to DP layer j: the best value of a
+    well-separated j-clustering of each element's complement, as reduced
+    (num, den) pairs, and the superset each element's best value steps to
+    (element indices; layer 1 has none).  Layer j depends on layer j-1
+    only, so a layer computed for one k serves every larger k.  Layers are
+    stored with ``dict.setdefault``: threads racing on one instance may
+    compute a layer twice, but every thread reads the same stored one.
+    """
+
+    __slots__ = ("elements", "succ", "nums", "dens", "layers")
+
+    def __init__(self, kernel: SpanKernel, poset: SeparatorPoset) -> None:
+        elements = poset.elements
+        index = {C: e for e, C in enumerate(elements)}
+        span_area = kernel.span_area
+        succ, nums, dens = [], [], []
+        for C in elements:
+            sups = poset.strict_supersets(C)
+            blocks = [sup - C for sup in sups]
+            areas = [span_area(B) if len(B) > 1 else _ZERO for B in blocks]
+            succ.append(tuple([index[sup] for sup in sups]))
+            nums.append(tuple([a.numerator for a in areas]))
+            dens.append(tuple([a.denominator for a in areas]))
+        self.elements = elements
+        self.succ, self.nums, self.dens = succ, nums, dens
+        # Layer 1 is the single block from an element to the full set, the
+        # last strict superset of every other element; it is the same for
+        # both objectives.
+        first = ([(num[-1], den[-1]) for num, den in zip(nums[:-1], dens[:-1])] + [(0, 1)], None)
+        self.layers = {("sd", 1): first, ("md", 1): first}
+
+    def layers_upto(self, objective: Objective, k: int) -> list:
+        """Layers 1..k of the objective, computing only the missing ones."""
+        layers = [self.layers[objective, 1]]
+        for j in range(2, k + 1):
+            key = (objective, j)
+            layer = self.layers.get(key)
+            if layer is None:
+                layer = self.layers.setdefault(key, self._layer(objective, layers[-1][0]))
+            layers.append(layer)
+        return layers
+
+    def _layer(self, objective: Objective, prev: list) -> tuple[list, list]:
+        """The layer after the one with values ``prev``.
+
+        Each element takes the first superset, in canonical order, with
+        the least combined value of block and ``prev``: their sum, or
+        their max.  Fractions compare by cross-multiplication; a sum is
+        reduced once per element, and a max is one of two reduced values.
+        """
+        add = objective == "sd"
+        values, choice = [], []
+        for succ, nums, dens in zip(self.succ, self.nums, self.dens):
+            best_num, best_den, best = 0, 1, -1
+            for s, num, den in zip(succ, nums, dens):
+                prev_num, prev_den = prev[s]
+                if add:
+                    num, den = num * prev_den + prev_num * den, den * prev_den
+                elif num * prev_den < prev_num * den:
+                    num, den = prev_num, prev_den
+                if best < 0 or num * best_den < best_num * den:
+                    best_num, best_den, best = num, den, s
+            if add:
+                g = gcd(best_num, best_den)
+                best_num, best_den = best_num // g, best_den // g
+            values.append((best_num, best_den))
+            choice.append(best)
+        return values, choice
+
+
+def _wellsep_chain_dp(S: TrajectorySet, k: int, objective: Objective) -> Solution:
     """Shared chain dynamic program over the side-set poset.
 
     State (C, j): best value of a well-separated j-clustering of the
     complement of C, taken over chains of strictly nested side-sets.  A
     chain may reach the full set early, in which case the remaining
     clusters are empty and the result has fewer than k nonempty clusters.
+    The layers come from the instance's chain table, built on first use.
     """
     n = len(S)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
 
-    poset = build_poset(S, compute_holes(S))
-    full = S.all_indices()
-    empty = frozenset()
+    kernel = S.kernel
+    table = kernel.chain_table
+    if table is None:
+        table = kernel.chain_table = ChainTable(kernel, build_poset(S, compute_holes(S)))
+    layers = table.layers_upto(objective, k)
+    elements = table.elements
+    full = len(elements) - 1
 
-    def block(sup: frozenset, sub: frozenset) -> Fraction:
-        return diameter(S, sup - sub)
-
-    # values[j][C]; layer j only looks at layer j-1, so a plain sweep of the
-    # elements (largest first, matching the poset direction) is enough.
-    order = tuple(reversed(poset.elements))
-    values: dict[frozenset, Fraction] = {}
-    choice: dict[tuple[frozenset, int], frozenset] = {}
-    for C in order:
-        values[C] = Fraction(0) if C == full else block(full, C)
-    for j in range(2, k + 1):
-        nxt: dict[frozenset, Fraction] = {full: Fraction(0)}
-        for C in order:
-            if C == full:
-                continue
-            # The full set is a strict superset of every other element.
-            best_val = best_sup = None
-            for sup in poset.strict_supersets(C):
-                val = combine(block(sup, C), values[sup])
-                if best_val is None or val < best_val:
-                    best_val, best_sup = val, sup
-            nxt[C] = best_val
-            choice[(C, j)] = best_sup
-        values = nxt
-
-    total = values[empty]
+    num, den = layers[k - 1][0][0]
     chain = []
-    C, j = empty, k
-    while C != full and j > 1:
-        C = choice[(C, j)]
+    e, j = 0, k
+    while e != full and j > 1:
+        e = layers[j - 1][1][e]
         j -= 1
-        if C != full:
-            chain.append(C)
+        if e != full:
+            chain.append(elements[e])
     clusters = []
-    prev = empty
-    for nxt_set in chain + [full]:
+    prev = frozenset()
+    for nxt_set in chain + [elements[full]]:
         clusters.append(nxt_set - prev)
         prev = nxt_set
-    return (normalize_clustering(clusters), total, tuple(chain))
+    clustering = normalize_clustering(clusters)
+    return Solution(clustering, Fraction(num, den), objective, "wellsep-dp", chain=tuple(chain))
 
 
 def sd_wellsep_dp(S: TrajectorySet, k: int) -> Solution:
@@ -169,8 +239,7 @@ def sd_wellsep_dp(S: TrajectorySet, k: int) -> Solution:
     Dynamic program over chains in the side-set poset; the traceback chain
     yields the clustering as consecutive set differences.
     """
-    clustering, value, chain = _wellsep_chain_dp(S, k, lambda a, b: a + b)
-    return Solution(clustering, value, "sd", "wellsep-dp", chain=chain)
+    return _wellsep_chain_dp(S, k, "sd")
 
 
 def md_wellsep_dp(S: TrajectorySet, k: int) -> Solution:
@@ -178,5 +247,4 @@ def md_wellsep_dp(S: TrajectorySet, k: int) -> Solution:
 
     Same chain dynamic program as the sum objective with + replaced by max.
     """
-    clustering, value, chain = _wellsep_chain_dp(S, k, max)
-    return Solution(clustering, value, "md", "wellsep-dp", chain=chain)
+    return _wellsep_chain_dp(S, k, "md")

@@ -36,8 +36,8 @@ from kinclust import (
 )
 from kinclust.max_diameter import GP_FACTOR
 from kinclust.oracle import (
+    brute_opt,
     brute_opt_md,
-    brute_opt_sd,
     brute_opt_wellsep,
     enumerate_partitions,
     numeric_diameter,
@@ -75,13 +75,14 @@ def corpus():
     records = []
     for i, n, k in _corpus_params():
         S = generate_instance(GeneratorConfig(seed=20000 + i, n=n))
+        sd_opt, md_opt = brute_opt(S, k)
         records.append(
             CorpusRecord(
                 seed=20000 + i,
                 S=S,
                 k=k,
-                sd_opt=brute_opt_sd(S, k),
-                md_opt=brute_opt_md(S, k),
+                sd_opt=sd_opt,
+                md_opt=md_opt,
                 wellsep_sd_opt=brute_opt_wellsep(S, k, "sd"),
             )
         )

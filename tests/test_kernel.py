@@ -262,13 +262,16 @@ class TestArrangementCache:
 
 
 def test_threads_sharing_one_instance_agree():
-    # The memo and the arrangement cache are filled without a lock; a race
-    # may compute a value twice but must never return a wrong one.
+    # The memo, the arrangement cache and the chain table's layers are
+    # filled without a lock; a race may compute a value twice but must
+    # never return a wrong one.  Each thread sweeps k in its own order.
     S = make_instance(12, 12)
     rng = random.Random(12)
     clusters = [frozenset(rng.sample(range(12), rng.randint(2, 12))) for _ in range(300)]
     expected = [diameter(make_instance(12, 12), C) for C in clusters]
-    reference = sd_wellsep_dp(make_instance(12, 12), 3)
+    solvers = (sd_wellsep_dp, md_wellsep_dp)
+    sweeps = [(solve, k) for solve in solvers for k in range(1, 7)]
+    reference = [solve(make_instance(12, 12), k) for solve, k in sweeps]
     results, errors = {}, []
 
     def work(w):
@@ -276,7 +279,13 @@ def test_threads_sharing_one_instance_agree():
             order = list(range(len(clusters)))
             random.Random(w).shuffle(order)
             got = {i: diameter(S, clusters[i]) for i in order}
-            results[w] = ([got[i] for i in range(len(clusters))], sd_wellsep_dp(S, 3))
+            order = list(range(len(sweeps)))
+            random.Random(100 + w).shuffle(order)
+            solved = {i: sweeps[i][0](S, sweeps[i][1]) for i in order}
+            results[w] = (
+                [got[i] for i in range(len(clusters))],
+                [solved[i] for i in range(len(sweeps))],
+            )
         except Exception as e:  # surfaced by the assertion below
             errors.append(e)
 

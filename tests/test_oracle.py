@@ -7,18 +7,21 @@ import pytest
 
 from kinclust import (
     TrajectorySet,
+    canonical_key,
     diameter,
     is_well_separated,
     md_value,
     sd_value,
 )
 from kinclust.oracle import (
+    brute_opt,
     brute_opt_md,
     brute_opt_sd,
     brute_opt_wellsep,
     enumerate_partitions,
     numeric_diameter,
     stirling2,
+    wellsep_dp_by_sets,
 )
 
 from conftest import make_instance
@@ -113,6 +116,24 @@ class TestBruteOptima:
         with pytest.raises(ValueError):
             brute_opt_sd(S, 0)
 
+    @pytest.mark.parametrize("grid", [1, 10])
+    def test_one_scan_gives_both_optima(self, grid):
+        # Each optimum is the least (value, canonical key) over all
+        # partitions; grid 1 puts every coordinate on a few integers, so
+        # ties are common.
+        for trial in range(8):
+            S = make_instance(6200 + trial, 4 + trial % 3, grid)
+            k = 2 + trial % 3
+            candidates = [
+                tuple(frozenset(b) for b in blocks) for blocks in enumerate_partitions(len(S), k)
+            ]
+            sd_sol, md_sol = brute_opt(S, k)
+            for sol, value in ((sd_sol, sd_value), (md_sol, md_value)):
+                best = min(candidates, key=lambda c: (value(S, c), canonical_key(c)))
+                assert (sol.clustering, sol.value) == (best, value(S, best))
+            assert (sd_sol.objective, md_sol.objective) == ("sd", "md")
+            assert (sd_sol, md_sol) == (brute_opt_sd(S, k), brute_opt_md(S, k))
+
 
 class TestBruteWellSeparated:
     def test_two_verticals(self, two_verticals):
@@ -139,6 +160,28 @@ class TestBruteWellSeparated:
     def test_invalid_objective(self, two_verticals):
         with pytest.raises(ValueError):
             brute_opt_wellsep(two_verticals, 2, "sum")
+
+
+class TestWellsepDpBySets:
+    @pytest.mark.parametrize("objective", ["sd", "md"])
+    def test_matches_filtered_brute_force(self, objective):
+        value = sd_value if objective == "sd" else md_value
+        for trial in range(10):
+            S = make_instance(6700 + trial, 4 + trial % 4)
+            for k in range(1, len(S) + 1):
+                sol = wellsep_dp_by_sets(S, k, objective)
+                assert sol.value == brute_opt_wellsep(S, k, objective).value
+                assert value(S, sol.clustering) == sol.value
+                assert is_well_separated(S, sol.clustering)
+                chain = (frozenset(),) + sol.chain + (S.all_indices(),)
+                assert all(a < b for a, b in zip(chain, chain[1:]))
+
+    def test_invalid_objective_and_k(self, two_verticals):
+        with pytest.raises(ValueError):
+            wellsep_dp_by_sets(two_verticals, 2, "sum")
+        for k in (0, 3):
+            with pytest.raises(ValueError):
+                wellsep_dp_by_sets(two_verticals, k, "sd")
 
 
 class TestNumericDiameter:

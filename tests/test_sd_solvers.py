@@ -15,9 +15,11 @@ from kinclust import (
     sd_value,
     sd_wellsep_dp,
 )
-from kinclust.oracle import brute_opt_md, brute_opt_sd, brute_opt_wellsep
+from kinclust.oracle import brute_opt_md, brute_opt_sd, brute_opt_wellsep, wellsep_dp_by_sets
 
-from conftest import make_instance
+from conftest import DEGENERATE_FAMILIES, make_instance
+
+WELLSEP_DP = {"sd": sd_wellsep_dp, "md": md_wellsep_dp}
 
 
 class TestSdValue:
@@ -65,6 +67,16 @@ class TestExactSolver:
         ref = brute_opt_sd(S, k)
         assert sol.value == ref.value
         assert sd_value(S, sol.clustering) == sol.value
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_ties_go_to_the_least_canonical_key(self, k):
+        # Parallel lines one unit apart: every split into k runs of
+        # neighbours has the same sum, and the least canonical key peels
+        # off the first k-1 lines.
+        S = TrajectorySet.from_pairs(DEGENERATE_FAMILIES["all-parallel"])
+        sol = sd_exact_goodseq(S, k)
+        expected = tuple(frozenset({i}) for i in range(k - 1)) + (frozenset(range(k - 1, 8)),)
+        assert sol.clustering == expected == brute_opt_sd(S, k).clustering
 
     def test_certificate_replays_to_solution(self):
         for trial in range(10):
@@ -173,3 +185,40 @@ class TestMdWellSeparatedDp:
             S = make_instance(3700 + trial, 6)
             for k in (2, 3):
                 assert md_wellsep_dp(S, k).value >= brute_opt_md(S, k).value
+
+
+class TestWellSeparatedDpMatchesSetReferee:
+    """The chain-table DP against the frozenset DP of the oracle.
+
+    The whole Solution must be identical, clustering, value and chain
+    certificate included, for both objectives and beyond brute-force
+    sizes.  The referee runs on its own copy of the instance, so it shares
+    no kernel memo or chain table with the solver.
+    """
+
+    @staticmethod
+    def check(make, ks):
+        S, R = make(), make()
+        for objective in ("sd", "md"):
+            for k in ks:
+                expected = wellsep_dp_by_sets(R, k, objective)
+                assert WELLSEP_DP[objective](S, k) == expected, (objective, k)
+
+    @pytest.mark.parametrize("n", [16, 24, 40])
+    def test_random_beyond_brute_force(self, n):
+        self.check(lambda: make_instance(4100 + n, n), range(1, 7))
+
+    @pytest.mark.parametrize("family", sorted(DEGENERATE_FAMILIES))
+    def test_degenerate_families(self, family):
+        pairs = DEGENERATE_FAMILIES[family]
+        self.check(lambda: TrajectorySet.from_pairs(pairs), range(1, min(6, len(pairs)) + 1))
+
+    def test_layers_shared_in_any_order(self):
+        # k = 4 fills layers 1..4 first; the later, smaller k and the other
+        # objective must read them back exactly as fresh instances compute.
+        S = make_instance(4300, 14)
+        for objective in ("md", "sd"):
+            for k in (4, 2, 3):
+                sol = WELLSEP_DP[objective](S, k)
+                assert sol == WELLSEP_DP[objective](make_instance(4300, 14), k)
+                assert sol == wellsep_dp_by_sets(make_instance(4300, 14), k, objective)
