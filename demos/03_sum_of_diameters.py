@@ -1,8 +1,9 @@
 """Minimizing the sum of cluster diameters.
 
-The exact solver enumerates hole-guided split sequences; the dynamic
-program over nested hole side-sets is polynomial but optimizes only over
-well-separated clusterings.  Both are compared against exhaustive
+The exact solver is a dynamic program over the split trees of
+hole-guided split sequences; the dynamic program over nested hole
+side-sets is polynomial but optimizes only over well-separated
+clusterings.  Both are compared against exhaustive
 enumeration on a small random instance.
 """
 

@@ -6,9 +6,10 @@ checks, a numeric Riemann cross-check of the exact span area, and slow
 exact referees for the kernel: span areas by trapezoids over the
 pairwise crossing-time grid, envelopes read off at slab midpoints, holes
 from a re-sort of the trajectories in every slab, the side-set poset
-from frozenset comparisons, and the well-separated chain DP over
-frozensets and Fractions.  Diameters come straight from the core
-geometry; nothing here reuses solver logic.
+from frozenset comparisons, the well-separated chain DP over
+frozensets and Fractions, and the exact sum of diameters by a
+breadth-first frontier of whole clusterings.  Diameters come straight
+from the core geometry; nothing here reuses solver logic.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Iterator
 
 from .arrangement import Hole, HoleKind, SeparatorPoset, compute_holes, is_well_separated
 from .geometry import (
+    Clustering,
     Envelope,
     Objective,
     Side,
@@ -30,6 +32,7 @@ from .geometry import (
     diameter,
     normalize_clustering,
 )
+from .sum_diameter import GoodSequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -357,3 +360,56 @@ def wellsep_dp_by_sets(S: TrajectorySet, k: int, objective: Objective) -> Soluti
         prev = nxt_set
     clustering = normalize_clustering(clusters)
     return Solution(clustering, values[empty], objective, "wellsep-dp", chain=tuple(chain))
+
+
+def goodseq_by_frontier(S: TrajectorySet, k: int) -> Solution:
+    """Exact sum-of-diameters optimum by enumerating whole clusterings.
+
+    Lists every clustering that k-1 hole-guided splits reach, breadth-first
+    by split depth, deduplicating clusterings so that the many sequences
+    producing the same partition are explored once, and keeps the first
+    sequence found for each.  The least value wins, ties going to the
+    smaller canonical key.  A referee for ``sd_exact_goodseq``: same value
+    and clustering, though its certificate may name other splits.  Its
+    cost follows the number of distinct clusterings in the frontier.
+    """
+    n = len(S)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+
+    holes = compute_holes(S)
+    splitters = [h for h in holes if h.kind == "bounded"]
+
+    start = (S.all_indices(),)
+    frontier: dict[Clustering, tuple[tuple[Hole, frozenset], ...]] = {start: ()}
+    for _ in range(k - 1):
+        nxt: dict[Clustering, tuple[tuple[Hole, frozenset], ...]] = {}
+        for clustering, steps in frontier.items():
+            for C in clustering:
+                if len(C) < 2:
+                    continue
+                rest = tuple(D for D in clustering if D != C)
+                for h in splitters:
+                    left = C & h.left_set
+                    if not left or left == C:
+                        continue
+                    child = normalize_clustering(rest + (left, C - left))
+                    if child not in nxt:
+                        nxt[child] = steps + ((h, C),)
+        frontier = nxt
+
+    # Ties go to the smaller canonical key, built only when a value ties.
+    best_value = best_key = best = None
+    for clustering, steps in frontier.items():
+        value = sum((diameter(S, C) for C in clustering), _ZERO)
+        if best is None or value < best_value:
+            best_value, best_key, best = value, None, (clustering, steps)
+        elif value == best_value:
+            if best_key is None:
+                best_key = canonical_key(best[0])
+            key = canonical_key(clustering)
+            if key < best_key:
+                best_key, best = key, (clustering, steps)
+    assert best is not None, "split enumeration cannot dead-end for k <= n"
+    clustering, steps = best
+    return Solution(clustering, best_value, "sd", "exact-goodseq", sequence=GoodSequence(steps))

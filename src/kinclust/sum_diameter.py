@@ -2,7 +2,9 @@
 
 Two routes:
 
-* exact enumeration of hole-guided split sequences, optimal for fixed k;
+* an exact dynamic program over the binary split trees that hole-guided
+  split sequences build, with one state per reachable cluster and number
+  of clusters, optimal for fixed k;
 * a dynamic program over nested hole side-sets that is exact among
   well-separated clusterings (every pair of clusters separated by an
   uncovered hole) and polynomial even when k is part of the input.
@@ -18,14 +20,20 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .arrangement import Hole, SeparatorPoset, build_poset, compute_holes, hole_within_span
+from .arrangement import (
+    Hole,
+    SeparatorPoset,
+    _picked,
+    build_poset,
+    compute_holes,
+    hole_within_span,
+)
 from .geometry import (
     Clustering,
     Objective,
     Solution,
     SpanKernel,
     TrajectorySet,
-    canonical_key,
     diameter,
     normalize_clustering,
 )
@@ -65,54 +73,171 @@ class GoodSequence:
         return normalize_clustering(current)
 
 
+# Most distinct clusters one ``sd_exact_goodseq`` call may memoize.  The
+# split-tree DP reaches 18,922 of them at n=32, k=4; past the cap it
+# raises ValueError instead of growing its memo further.
+MAX_SPLIT_STATES = 200_000
+
+
 def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
     """Exact optimum for the sum of diameters with at most k clusters.
 
-    Enumerates every clustering reachable by k-1 hole-guided splits,
-    breadth-first by split depth, deduplicating clusterings so that the
-    many sequences producing the same partition are explored once.  Every
-    optimal clustering arises this way, so the best leaf is the optimum.
+    Every clustering that k-1 hole-guided splits reach is the leaf set of
+    a binary split tree, and whether a bounded hole may split a cluster
+    depends on that cluster alone.  So the optimum decomposes over
+    clusters: f(C, 1) = diam(C), and f(C, j) is the least f(A, j1) +
+    f(C - A, j - j1) over the distinct splits {A, C - A} of C by a bounded
+    hole and over 1 <= j1 < j with each side holding at least as many
+    members as clusters.  Clusters are int bitmasks (index i carries the
+    flag 1 << (n - 1 - i), as in the hole sweep), values reduced
+    integer (num, den) pairs compared by cross-multiplication, and each
+    leaf area is read once per distinct cluster through ``diameter``.
+
+    Ties go to the least canonical key: each state keeps the least
+    (value, key) pair, where the key of a split is the sorted merge of
+    its sides' keys, built only when values tie.  That merge is monotone
+    in each side, so the root gets the least key among all optima.  The
+    certificate lists the splits of the tree, parents first, each by the
+    first bounded hole in hole order that realizes it.  Raises ValueError
+    once more than MAX_SPLIT_STATES distinct clusters would be memoized.
     """
     n = len(S)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
 
-    holes = compute_holes(S)
-    splitters = [h for h in holes if h.kind == "bounded"]
+    # The first bounded hole, in hole order, of each distinct left mask.
+    splitters: dict[int, Hole] = {}
+    for h in compute_holes(S):
+        if h.kind == "bounded":
+            splitters.setdefault(sum(1 << (n - 1 - i) for i in h.left_set), h)
+    masks = tuple(splitters)
 
-    start = (S.all_indices(),)
-    frontier: dict[Clustering, tuple[tuple[Hole, frozenset], ...]] = {start: ()}
-    for _ in range(k - 1):
-        nxt: dict[Clustering, tuple[tuple[Hole, frozenset], ...]] = {}
-        for clustering, steps in frontier.items():
-            for C in clustering:
-                if len(C) < 2:
+    values: dict[int, list[tuple[int, int]]] = {}  # cluster -> f(C, j) for j = 1, 2, ...
+    choice: dict[tuple[int, int], tuple[int, int]] = {}  # (C, j >= 2) -> (A, j1)
+    keys: dict[tuple[int, int], tuple] = {}  # (C, j) -> canonical key, built on ties
+
+    def walk(C: int, j: int):
+        """The states of the best split tree of (C, j), parents first."""
+        todo = [(C, j)]
+        while todo:
+            C, j = todo.pop()
+            yield C, j
+            if j > 1:
+                a, j1 = choice[C, j]
+                todo.append((C ^ a, j - j1))
+                todo.append((a, j1))
+
+    def key(C: int, j: int) -> tuple:
+        """Canonical key of the best clustering of state (C, j)."""
+        found = keys.get((C, j))
+        if found is None:
+            leaves = [tuple(_picked(range(n), D)) for D, i in walk(C, j) if i == 1]
+            found = keys[C, j] = tuple(sorted(leaves))
+        return found
+
+    def split_key(C: int, a: int, j1: int, j: int) -> tuple:
+        """Key of splitting C into A with j1 clusters and C - A with j - j1."""
+        return tuple(sorted(key(a, j1) + key(C ^ a, j - j1)))
+
+    def leaf(C: int) -> list[tuple[int, int]]:
+        """values[C] for a cluster not memoized yet: f(C, 1) alone."""
+        if len(values) >= MAX_SPLIT_STATES:
+            raise ValueError(
+                f"sd_exact_goodseq: the split-tree DP needs more than "
+                f"MAX_SPLIT_STATES = {MAX_SPLIT_STATES} distinct clusters"
+            )
+        area = diameter(S, frozenset(_picked(range(n), C)))
+        vals = values[C] = [(area.numerator, area.denominator)]
+        return vals
+
+    # Fill f(C, j) for j up to r, children before parents, on an explicit
+    # stack, so that a deep split tree (k near n) meets no recursion limit:
+    # a (C, r) entry lists C's splits and stacks its children above the
+    # (C, r, splits) entry that then combines their values.
+    full = (1 << n) - 1
+    leaf(full)
+    todo: list = [(full, k, None)]
+    while todo:
+        C, r, splits = todo.pop()
+        vals = values[C]
+        have = len(vals)
+        if have >= r:
+            continue
+        if splits is None:
+            # The distinct splits {A, C - A}, by their smaller side, with the
+            # sides' value lists, which their own entries extend in place;
+            # each side needs f for up to min(its size, r - 1) clusters.
+            splits, seen, needs = [], set(), []
+            for L in masks:
+                a = C & L
+                if not a or a == C:
                     continue
-                rest = tuple(D for D in clustering if D != C)
-                for h in splitters:
-                    left = C & h.left_set
-                    if not left or left == C:
+                b = C ^ a
+                if (a if a < b else b) in seen:
+                    continue
+                seen.add(a if a < b else b)
+                va = values.get(a) or leaf(a)
+                vb = values.get(b) or leaf(b)
+                splits.append((a, b, va, vb))
+                if len(va) < r - 1 and len(va) < a.bit_count():
+                    needs.append((a, min(a.bit_count(), r - 1), None))
+                if len(vb) < r - 1 and len(vb) < b.bit_count():
+                    needs.append((b, min(b.bit_count(), r - 1), None))
+            todo.append((C, r, splits))
+            todo += needs
+            continue
+        # The (j, j1) pairs to try on a split whose sides both have f up to
+        # r - 1; a smaller side drops the pairs giving it too many clusters.
+        pairs = [(j, j1) for j in range(have + 1, r + 1) for j1 in range(1, j)]
+        # best[j] = [num, den, A, j1, key or None] of the least (value, key) so far.
+        best: list = [None] * (r + 1)
+        for a, b, va, vb in splits:
+            la, lb = len(va), len(vb)
+            for j, j1 in pairs if la >= r - 1 and lb >= r - 1 else [
+                (j, j1) for j, j1 in pairs if j1 <= la and j - j1 <= lb
+            ]:
+                an, ad = va[j1 - 1]
+                bn, bd = vb[j - j1 - 1]
+                num, den = an * bd + bn * ad, ad * bd
+                cur = best[j]
+                if cur is not None:
+                    diff = num * cur[1] - cur[0] * den
+                    if diff > 0:
                         continue
-                    child = normalize_clustering(rest + (left, C - left))
-                    if child not in nxt:
-                        nxt[child] = steps + ((h, C),)
-        frontier = nxt
+                    if diff == 0:
+                        if cur[4] is None:
+                            cur[4] = split_key(C, cur[2], cur[3], j)
+                        merged = split_key(C, a, j1, j)
+                        if merged < cur[4]:
+                            best[j] = [num, den, a, j1, merged]
+                        continue
+                best[j] = [num, den, a, j1, None]
+        for j in range(have + 1, r + 1):
+            num, den, a, j1, merged = best[j]
+            g = gcd(num, den)
+            vals.append((num // g, den // g))
+            choice[C, j] = (a, j1)
+            if merged is not None:
+                keys[C, j] = merged
 
-    # Ties go to the smaller canonical key, built only when a value ties.
-    best_value = best_key = best = None
-    for clustering, steps in frontier.items():
-        value = sd_value(S, clustering)
-        if best is None or value < best_value:
-            best_value, best_key, best = value, None, (clustering, steps)
-        elif value == best_value:
-            if best_key is None:
-                best_key = canonical_key(best[0])
-            key = canonical_key(clustering)
-            if key < best_key:
-                best_key, best = key, (clustering, steps)
-    assert best is not None, "split enumeration cannot dead-end for k <= n"
-    clustering, steps = best
-    return Solution(clustering, best_value, "sd", "exact-goodseq", sequence=GoodSequence(steps))
+    # The certificate names each split by the first bounded hole giving it.
+    steps: list[tuple[Hole, frozenset]] = []
+    leaves: list[frozenset] = []
+    for C, j in walk(full, k):
+        members = frozenset(_picked(range(n), C))
+        if j == 1:
+            leaves.append(members)
+        else:
+            a = choice[C, j][0]
+            steps.append((next(h for L, h in splitters.items() if C & L in (a, C ^ a)), members))
+    num, den = values[full][k - 1]
+    return Solution(
+        normalize_clustering(leaves),
+        Fraction(num, den),
+        "sd",
+        "exact-goodseq",
+        sequence=GoodSequence(tuple(steps)),
+    )
 
 
 class ChainTable:

@@ -50,6 +50,35 @@ def make_instance(seed: int, n: int, grid: int = 10) -> TrajectorySet:
     return generate_instance(GeneratorConfig(seed=seed, n=n, grid=grid))
 
 
+# Instance transforms of the metamorphic checks, on (x0, x1) pairs.  Each
+# keeps every span area (scaling multiplies it by |a|), and all but the
+# permutation keep the indices.
+
+
+def translated(pairs, c0, c1) -> TrajectorySet:
+    """Shifted by c0 at t=0 and by c1 at t=1: a translation plus a common drift."""
+    return TrajectorySet.from_pairs([(x0 + c0, x1 + c1) for x0, x1 in pairs])
+
+
+def scaled(pairs, a) -> TrajectorySet:
+    return TrajectorySet.from_pairs([(a * x0, a * x1) for x0, x1 in pairs])
+
+
+def mirrored(pairs) -> TrajectorySet:
+    """x -> -x."""
+    return TrajectorySet.from_pairs([(-x0, -x1) for x0, x1 in pairs])
+
+
+def time_reversed(pairs) -> TrajectorySet:
+    """t -> 1 - t: the positions at t=0 and t=1 swap."""
+    return TrajectorySet.from_pairs([(x1, x0) for x0, x1 in pairs])
+
+
+def permuted(S: TrajectorySet, perm) -> tuple[TrajectorySet, dict[int, int]]:
+    """New index j holds old index perm[j]; also returns the old -> new map."""
+    return TrajectorySet(tuple(S[old] for old in perm)), {old: new for new, old in enumerate(perm)}
+
+
 def random_fraction(rng: random.Random, lo: int, hi: int, den: int = 10) -> Fraction:
     return Fraction(rng.randint(lo * den, hi * den), den)
 

@@ -102,6 +102,15 @@ class TestSd:
     def test_bad_k(self, verticals_file, capsys):
         assert main(["sd", "exact", verticals_file, "-k", "9"]) == 1
 
+    def test_exact_work_guard(self, nested_file, capsys, monkeypatch):
+        from kinclust import sum_diameter
+
+        monkeypatch.setattr(sum_diameter, "MAX_SPLIT_STATES", 3)
+        assert main(["sd", "exact", nested_file, "-k", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "MAX_SPLIT_STATES = 3" in captured.err
+
 
 class TestMd:
     def test_bsearch_ratio(self, quartet_file, capsys):

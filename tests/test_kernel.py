@@ -33,7 +33,15 @@ from kinclust import (
 )
 from kinclust.oracle import envelope_grid, span_area_grid
 
-from conftest import DEGENERATE_FAMILIES, make_instance
+from conftest import (
+    DEGENERATE_FAMILIES,
+    make_instance,
+    mirrored,
+    permuted,
+    scaled,
+    time_reversed,
+    translated,
+)
 
 
 def _assert_matches_referees(S, C):
@@ -149,10 +157,8 @@ def test_translation_and_common_drift_invariance(pairs, c0, c1, data):
     S = TrajectorySet.from_pairs(pairs)
     C = _cluster(data, len(S))
     value = diameter(S, C)
-    moved = TrajectorySet.from_pairs([(x0 + c0, x1 + c0) for x0, x1 in pairs])
-    drifted = TrajectorySet.from_pairs([(x0 + c0, x1 + c1) for x0, x1 in pairs])
-    assert diameter(moved, C) == value
-    assert diameter(drifted, C) == value
+    assert diameter(translated(pairs, c0, c0), C) == value
+    assert diameter(translated(pairs, c0, c1), C) == value
 
 
 @_PROPERTY
@@ -160,8 +166,7 @@ def test_translation_and_common_drift_invariance(pairs, c0, c1, data):
 def test_scaling_multiplies_by_abs(pairs, a, data):
     S = TrajectorySet.from_pairs(pairs)
     C = _cluster(data, len(S))
-    scaled = TrajectorySet.from_pairs([(a * x0, a * x1) for x0, x1 in pairs])
-    assert diameter(scaled, C) == abs(a) * diameter(S, C)
+    assert diameter(scaled(pairs, a), C) == abs(a) * diameter(S, C)
 
 
 @_PROPERTY
@@ -171,14 +176,10 @@ def test_mirror_time_reversal_and_permutation_invariance(pairs, data):
     n = len(S)
     C = _cluster(data, n)
     value = diameter(S, C)
-    mirrored = TrajectorySet.from_pairs([(-x0, -x1) for x0, x1 in pairs])
-    reversed_time = TrajectorySet.from_pairs([(x1, x0) for x0, x1 in pairs])
-    assert diameter(mirrored, C) == value
-    assert diameter(reversed_time, C) == value
-    perm = data.draw(st.permutations(range(n)))  # new index j holds old perm[j]
-    permuted = TrajectorySet(tuple(S[perm[j]] for j in range(n)))
-    where = {old: new for new, old in enumerate(perm)}
-    assert diameter(permuted, {where[i] for i in C}) == value
+    assert diameter(mirrored(pairs), C) == value
+    assert diameter(time_reversed(pairs), C) == value
+    permuted_set, where = permuted(S, data.draw(st.permutations(range(n))))
+    assert diameter(permuted_set, {where[i] for i in C}) == value
 
 
 @_PROPERTY
@@ -264,13 +265,16 @@ class TestArrangementCache:
 def test_threads_sharing_one_instance_agree():
     # The memo, the arrangement cache and the chain table's layers are
     # filled without a lock; a race may compute a value twice but must
-    # never return a wrong one.  Each thread sweeps k in its own order.
+    # never return a wrong one.  Each thread sweeps k in its own order,
+    # and the exact solver's results, split sequences included, must be
+    # those of fresh instances too.
     S = make_instance(12, 12)
     rng = random.Random(12)
     clusters = [frozenset(rng.sample(range(12), rng.randint(2, 12))) for _ in range(300)]
     expected = [diameter(make_instance(12, 12), C) for C in clusters]
     solvers = (sd_wellsep_dp, md_wellsep_dp)
     sweeps = [(solve, k) for solve in solvers for k in range(1, 7)]
+    sweeps += [(sd_exact_goodseq, k) for k in range(2, 5)]
     reference = [solve(make_instance(12, 12), k) for solve, k in sweeps]
     results, errors = {}, []
 

@@ -19,6 +19,7 @@ from kinclust.oracle import (
     brute_opt_sd,
     brute_opt_wellsep,
     enumerate_partitions,
+    goodseq_by_frontier,
     numeric_diameter,
     stirling2,
     wellsep_dp_by_sets,
@@ -182,6 +183,22 @@ class TestWellsepDpBySets:
         for k in (0, 3):
             with pytest.raises(ValueError):
                 wellsep_dp_by_sets(two_verticals, k, "sd")
+
+
+class TestGoodseqByFrontier:
+    def test_matches_brute_force(self):
+        for trial in range(10):
+            S = make_instance(6800 + trial, 4 + trial % 4)
+            for k in range(1, len(S) + 1):
+                sol = goodseq_by_frontier(S, k)
+                assert sol.value == brute_opt_sd(S, k).value
+                assert sd_value(S, sol.clustering) == sol.value
+                assert sol.sequence.replay(S) == sol.clustering
+
+    def test_invalid_k(self, two_verticals):
+        for k in (0, 3):
+            with pytest.raises(ValueError):
+                goodseq_by_frontier(two_verticals, k)
 
 
 class TestNumericDiameter:

@@ -1,5 +1,6 @@
 """Sum-of-diameters solvers against the brute-force referee."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from kinclust import (
     TrajectorySet,
+    compute_holes,
     diameter,
     is_well_separated,
     md_value,
@@ -14,10 +16,25 @@ from kinclust import (
     sd_exact_goodseq,
     sd_value,
     sd_wellsep_dp,
+    sum_diameter,
 )
-from kinclust.oracle import brute_opt_md, brute_opt_sd, brute_opt_wellsep, wellsep_dp_by_sets
+from kinclust.oracle import (
+    brute_opt_md,
+    brute_opt_sd,
+    brute_opt_wellsep,
+    goodseq_by_frontier,
+    wellsep_dp_by_sets,
+)
 
-from conftest import DEGENERATE_FAMILIES, make_instance
+from conftest import (
+    DEGENERATE_FAMILIES,
+    make_instance,
+    mirrored,
+    permuted,
+    scaled,
+    time_reversed,
+    translated,
+)
 
 WELLSEP_DP = {"sd": sd_wellsep_dp, "md": md_wellsep_dp}
 
@@ -85,6 +102,15 @@ class TestExactSolver:
             assert sol.sequence is not None
             assert sol.sequence.replay(S) == sol.clustering
 
+    def test_certificate_names_the_first_hole_of_each_split(self):
+        S = make_instance(2200, 9)
+        bounded = [h for h in compute_holes(S) if h.kind == "bounded"]
+        for k in (2, 3, 4):
+            for hole, cluster in sd_exact_goodseq(S, k).sequence.steps:
+                sides = {cluster & hole.left_set, cluster - hole.left_set}
+                first = next(h for h in bounded if {cluster & h.left_set, cluster - h.left_set} == sides)
+                assert hole == first
+
     def test_optimum_has_no_empty_clusters(self):
         # Splitting any multi-member cluster along an interior hole never
         # hurts, so a best clustering uses all k slots.
@@ -93,6 +119,103 @@ class TestExactSolver:
             sol = sd_exact_goodseq(S, 3)
             assert len(sol.clustering) == 3
             assert all(c for c in sol.clustering)
+
+
+class TestExactSolverMatchesFrontierReferee:
+    """The split-tree DP against the oracle's frontier of whole clusterings.
+
+    Value and clustering must be identical beyond brute-force sizes and on
+    the degenerate families; the certificates may name different splits,
+    so the DP's own sequence must replay to its clustering.  The referee
+    runs on its own copy of the instance.
+    """
+
+    @staticmethod
+    def check(make, ks):
+        S, R = make(), make()
+        for k in ks:
+            sol = sd_exact_goodseq(S, k)
+            assert sol == dataclasses.replace(goodseq_by_frontier(R, k), sequence=sol.sequence), k
+            assert sol.sequence.replay(S) == sol.clustering
+            assert len(sol.sequence.steps) == k - 1
+
+    @pytest.mark.parametrize("n,ks", [(16, (2, 3, 4)), (20, (3,))])
+    def test_random_beyond_brute_force(self, n, ks):
+        self.check(lambda: make_instance(4500 + n, n), ks)
+
+    @pytest.mark.parametrize("seed,n,grid", [(4601, 14, 3), (4602, 16, 4)])
+    def test_integer_grid(self, seed, n, grid):
+        # Integer coordinates on a narrow range: concurrent crossings and
+        # many equal sums, so the tie rule decides.
+        points = [(Fraction(x0), Fraction(x1)) for x0 in range(grid + 1) for x1 in range(grid + 1)]
+        pairs = random.Random(seed).sample(points, n)
+        self.check(lambda: TrajectorySet.from_pairs(pairs), (2, 3, 4))
+
+    @pytest.mark.parametrize("family", sorted(DEGENERATE_FAMILIES))
+    def test_degenerate_families(self, family):
+        pairs = DEGENERATE_FAMILIES[family]
+        # The 16 coprime-denominator lines nearly all cross, so the
+        # referee's frontier takes about 4 s at k=4 and 70 s at k=5.
+        top = 3 if family == "coprime-denominators" else 5
+        self.check(lambda: TrajectorySet.from_pairs(pairs), range(1, min(top, len(pairs)) + 1))
+
+
+class TestExactSolverWorkGuard:
+    def test_raises_past_the_cap(self, monkeypatch):
+        # The count is per call: a kernel warmed by an earlier solve does
+        # not let a later one past the cap.
+        S = make_instance(4700, 8)
+        sd_exact_goodseq(S, 3)
+        monkeypatch.setattr(sum_diameter, "MAX_SPLIT_STATES", 5)
+        with pytest.raises(ValueError, match="MAX_SPLIT_STATES = 5"):
+            sd_exact_goodseq(S, 3)
+        with pytest.raises(ValueError, match="MAX_SPLIT_STATES = 5"):
+            sd_exact_goodseq(make_instance(4700, 8), 3)
+
+    def test_k_one_needs_one_cluster(self, monkeypatch):
+        monkeypatch.setattr(sum_diameter, "MAX_SPLIT_STATES", 1)
+        S = make_instance(4701, 8)
+        assert sd_exact_goodseq(S, 1).value == diameter(S, S.all_indices())
+
+
+class TestExactSolverMetamorphic:
+    """The optimal value is invariant under the maps that keep every span
+    area, and scales by |a| under x -> a x, at sizes past brute force."""
+
+    CASES = [(4800, 16, 4), (4801, 18, 3), (4802, 20, 3)]
+
+    @pytest.mark.parametrize("seed,n,k", CASES)
+    def test_translation_drift_mirror_and_time_reversal(self, seed, n, k):
+        S = make_instance(seed, n)
+        pairs = [(s.x0, s.x1) for s in S]
+        value = sd_exact_goodseq(S, k).value
+        c0, c1 = Fraction(-37, 3), Fraction(5, 7)
+        for moved in (
+            translated(pairs, c0, c0),
+            translated(pairs, c0, c1),
+            mirrored(pairs),
+            time_reversed(pairs),
+        ):
+            assert sd_exact_goodseq(moved, k).value == value
+
+    @pytest.mark.parametrize("seed,n,k", CASES)
+    def test_scaling_multiplies_by_abs(self, seed, n, k):
+        S = make_instance(seed, n)
+        pairs = [(s.x0, s.x1) for s in S]
+        value = sd_exact_goodseq(S, k).value
+        for a in (Fraction(3, 2), Fraction(-5, 3)):
+            assert sd_exact_goodseq(scaled(pairs, a), k).value == abs(a) * value
+
+    @pytest.mark.parametrize("seed,n,k", CASES)
+    def test_index_permutation(self, seed, n, k):
+        S = make_instance(seed, n)
+        value = sd_exact_goodseq(S, k).value
+        perm = list(range(n))
+        random.Random(seed).shuffle(perm)
+        moved, _ = permuted(S, perm)
+        sol = sd_exact_goodseq(moved, k)
+        assert sol.value == value
+        assert sd_value(S, [{perm[i] for i in C} for C in sol.clustering]) == value
 
 
 class TestWellSeparatedDp:
