@@ -30,8 +30,6 @@ from .geometry import (
     TrajectorySet,
     as_cluster,
     as_scalar,
-    bottom_leftmost,
-    bottom_leftmost_index,
     canonical_key,
     diameter,
     envelope,
@@ -91,8 +89,6 @@ __all__ = [
     "TrajectorySet",
     "as_cluster",
     "as_scalar",
-    "bottom_leftmost",
-    "bottom_leftmost_index",
     "brute_opt_md",
     "brute_opt_sd",
     "brute_opt_wellsep",

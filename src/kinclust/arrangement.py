@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import compress, groupby
+from functools import cached_property, reduce
+from itertools import groupby
 from math import gcd
 from operator import and_
 from typing import Iterable, Literal
 
-from .geometry import TrajectorySet
+from .geometry import TrajectorySet, _picked
 
 HoleKind = Literal["bounded", "unbounded_left", "unbounded_right"]
 
@@ -57,28 +57,13 @@ def compute_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     prefix is a concave function of time, hence positive on a single
     interval, so no face ever re-opens and each is emitted exactly once
     with its full time extent.  Crossing times come from the kernel's
-    integer lines; prefixes are int bitmasks, each turned into a frozenset
-    once, when its hole is emitted.
+    integer lines; prefixes are the kernel's int masks, each turned into a
+    frozenset once, when its hole is emitted.
     """
     kernel = S.kernel
     if kernel.holes is None:
         kernel.holes = _sweep_holes(S)
     return kernel.holes
-
-
-# Maps the characters of a binary numeral to the bytes 0 and 1, so that a
-# bitmask decodes into itertools.compress selectors in C.
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _picked(items, mask: int):
-    """The items flagged in ``mask``, in order.
-
-    Item k of m items carries the flag 1 << (m - 1 - k), so the binary
-    numeral of ``mask`` reads the flags from its first flagged item on.
-    """
-    flags = f"{mask:b}".encode().translate(_BITS)
-    return compress(items[len(items) - len(flags):], flags)
 
 
 def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
@@ -108,9 +93,7 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     place = [0] * n
     for k, r in enumerate(order):
         place[r] = k
-    bit = [0] * n  # member i's flag in a left-set mask, by line
-    for i, r in enumerate(kernel.rank):
-        bit[r] = 1 << (n - 1 - i)
+    bit = [kernel.bits[i] for i in kernel.order]  # line r's flag in the kernel's masks
 
     # faces[slot] = [left mask, t_lo, t_hi]; open_slot[size] is the slot of
     # the face whose left set is the current prefix of that size.  Faces
@@ -140,7 +123,7 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
                 if mask in seen:
                     # A prefix reappearing after a gap would contradict the
                     # concavity of its gap function.
-                    raise AssertionError(f"face {list(_picked(range(n), mask))} re-opened at t={t}")
+                    raise AssertionError(f"face {sorted(kernel.members(mask))} re-opened at t={t}")
                 seen.add(mask)
                 open_slot[size] = len(faces)
                 faces.append([mask, t, None])
@@ -156,9 +139,7 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
             kind = "unbounded_right"
         else:
             kind = "bounded"
-        # Built through a set so that the frozenset's table is sized to its
-        # members rather than grown one member at a time.
-        holes.append(Hole(frozenset(set(_picked(range(n), mask))), lo, hi, kind))
+        holes.append(Hole(kernel.members(mask), lo, hi, kind))
     return tuple(holes)
 
 
@@ -223,14 +204,20 @@ def is_well_separated(
 class SeparatorPoset:
     """The distinct hole side-sets, ordered by strict inclusion.
 
-    ``elements`` is sorted by (size, indices); ``successors[C]`` lists the
-    strict supersets of C among the elements, in the same canonical order.
-    The empty set is the unique source and the full index set the unique
-    sink.
+    ``elements`` is sorted by (size, indices); ``succ[e]`` lists the
+    strict supersets of element e among the elements as element indices,
+    in the same canonical order.  The empty set is the unique source and
+    the full index set the unique sink.  ``successors`` maps each element
+    to its strict supersets as frozensets; it is built on first read.
     """
 
     elements: tuple[frozenset, ...]
-    successors: dict
+    succ: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def successors(self) -> dict[frozenset, tuple[frozenset, ...]]:
+        elements = self.elements
+        return {C: tuple(map(elements.__getitem__, sups)) for C, sups in zip(elements, self.succ)}
 
     def strict_supersets(self, C: frozenset) -> tuple[frozenset, ...]:
         return self.successors[C]
@@ -240,9 +227,6 @@ class SeparatorPoset:
 
     def sink(self) -> frozenset:
         return self.elements[-1]
-
-    def __contains__(self, C: frozenset) -> bool:
-        return C in self.successors
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -281,10 +265,12 @@ def _inclusion_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPose
             numerals[i][e] = 49  # "1"
     containing = [int(numeral, 2) for numeral in numerals]
     # An element's strict supersets are the later elements holding all of
-    # its members: elements sort by size, so no earlier one can.
+    # its members: elements sort by size, so no earlier one can.  Decoding
+    # from one tuple shares its int objects between all the rows.
     holding = containing.__getitem__
-    successors = {
-        c: tuple(_picked(elements, reduce(and_, map(holding, c), (1 << (m - 1 - e)) - 1)))
+    index = tuple(range(m))
+    succ = tuple(
+        tuple(_picked(index, reduce(and_, map(holding, c), (1 << (m - 1 - e)) - 1)))
         for e, c in enumerate(elements)
-    }
-    return SeparatorPoset(elements, successors)
+    )
+    return SeparatorPoset(elements, succ)

@@ -112,9 +112,14 @@ def _cmd_render(args) -> int:
         import json
 
         doc = json.loads(Path(args.clusters).read_text())
-        if not isinstance(doc, dict) or "clusters" not in doc:
-            raise InstanceError("clusters file must be an object with a 'clusters' list")
-        clustering = [as_cluster(c, len(S)) for c in doc["clusters"]]
+        clusters = doc.get("clusters") if isinstance(doc, dict) else None
+        if not isinstance(clusters, list) or not all(
+            isinstance(c, list) and all(type(i) is int for i in c) for c in clusters
+        ):
+            raise InstanceError(
+                "clusters file must be an object with a 'clusters' list of index lists"
+            )
+        clustering = [as_cluster(c, len(S)) for c in clusters]
         svg = render_svg(S, overlay="clustering", clustering=clustering)
     else:
         svg = render_svg(S)

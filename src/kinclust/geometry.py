@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Union
 
 if TYPE_CHECKING:
@@ -204,18 +205,6 @@ def check_clustering(S: TrajectorySet, clustering: Iterable[Iterable[int]]) -> C
     return clusters
 
 
-def crossing_time(a: Trajectory, b: Trajectory) -> Fraction | None:
-    """Time at which two trajectories meet, or None for parallel ones.
-
-    The returned value may fall outside [0, 1]; callers filter.
-    """
-    d0 = a.x0 - b.x0
-    d1 = a.x1 - b.x1
-    if d0 == d1:
-        return None
-    return d0 / (d0 - d1)
-
-
 def pairwise_diameter(a: Trajectory, b: Trajectory) -> Fraction:
     """Area of the span of two trajectories: the time integral of their distance.
 
@@ -229,18 +218,6 @@ def pairwise_diameter(a: Trajectory, b: Trajectory) -> Fraction:
         return abs(d0 + d1) / 2
     t = d0 / (d0 - d1)
     return (abs(d0) * t + abs(d1) * (1 - t)) / 2
-
-
-def bottom_leftmost(S: TrajectorySet, C: Iterable[int]) -> Trajectory:
-    """Member with minimum position at t=0, ties broken by position at t=1."""
-    return S[bottom_leftmost_index(S, C)]
-
-
-def bottom_leftmost_index(S: TrajectorySet, C: Iterable[int]) -> int:
-    cluster = as_cluster(C, len(S))
-    if not cluster:
-        raise ValueError("bottom_leftmost of an empty cluster")
-    return min(cluster, key=lambda i: S[i])
 
 
 @dataclass(frozen=True)
@@ -295,6 +272,21 @@ def _upper_chain(lines: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return chain[lo:hi]
 
 
+# Maps the characters of a binary numeral to the bytes 0 and 1, so that a
+# bitmask decodes into itertools.compress selectors in C.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _picked(items, mask: int):
+    """The items flagged in ``mask``, in order.
+
+    Item k of m items carries the flag 1 << (m - 1 - k), so the binary
+    numeral of ``mask`` reads the flags from its first flagged item on.
+    """
+    flags = f"{mask:b}".encode().translate(_BITS)
+    return compress(items[len(items) - len(flags):], flags)
+
+
 def _mirrored(lines: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """The lines of x -> -x, again sorted by slope, then intercept."""
     return [(-v, -a) for v, a in reversed(lines)]
@@ -319,21 +311,29 @@ class SpanKernel:
     Member i moves along x(t) = (a + v*t) / den, where a = x0 * den and
     v = (x1 - x0) * den are integers over the common denominator ``den``
     of every coordinate.  ``lines`` holds the (v, a) pairs sorted by slope,
-    then intercept, and ``rank[i]`` is member i's place in that order, so a
-    cluster's lines come out sorted from a sort of small ints.
-    ``leftmost`` lists the member indices in bottom-leftmost order, by
-    (x0, x1).
+    then intercept, ``rank[i]`` is member i's place in that order and
+    ``order`` the members in that order.  ``leftmost`` lists the member
+    indices in bottom-leftmost order, by (x0, x1).
 
-    ``spans`` memoizes span areas by cluster and ``rows`` the pairwise
+    The kernel alone encodes clusters: a cluster is the int mask in which
+    member i carries the flag ``bits[i] = 1 << (n - 1 - rank[i])``, so the
+    mask's binary numeral reads the members in slope order and decodes
+    straight into sorted lines.  ``mask`` and ``members`` convert between
+    a frozenset of indices and its mask.
+
+    ``spans`` memoizes span areas by mask and ``rows`` the pairwise
     span-area rows of the members asked for; ``holes`` and ``poset`` hold
     the arrangement's hole table and side-set poset once computed (see
-    ``arrangement``), and ``chain_table`` the block areas and layers of
-    the well-separated dynamic program (see ``sum_diameter.ChainTable``).
-    The kernel lives and dies with its instance.
+    ``arrangement``; the poset keeps index successors, and its frozenset
+    ``successors`` view is built only when read), and ``chain_table`` the
+    block areas and layers of the well-separated dynamic program (see
+    ``sum_diameter.ChainTable``).  The kernel lives and dies with its
+    instance.
     """
 
     __slots__ = (
-        "den", "lines", "rank", "leftmost", "spans", "rows", "holes", "poset", "chain_table"
+        "den", "lines", "rank", "order", "bits", "leftmost",
+        "spans", "rows", "holes", "poset", "chain_table",
     )
 
     def __init__(self, trajectories: tuple[Trajectory, ...]) -> None:
@@ -350,20 +350,28 @@ class SpanKernel:
         self.den = den
         self.lines = tuple(raw[i] for i in order)
         self.rank = tuple(rank)
+        self.order = tuple(order)
+        self.bits = tuple(1 << (len(raw) - 1 - r) for r in rank)
         self.leftmost = tuple(sorted(range(len(ends)), key=ends.__getitem__))
-        self.spans: dict[frozenset, Fraction] = {}
+        self.spans: dict[int, Fraction] = {}
         self.rows: dict[int, tuple[Fraction, ...]] = {}
         self.holes = None
         self.poset = None
         self.chain_table = None
 
-    def ordered(self, members: frozenset) -> list[tuple[int, int]]:
-        """The members' (v, a) lines, sorted by slope, then intercept."""
-        lines, rank = self.lines, self.rank
-        return [lines[r] for r in sorted([rank[i] for i in members])]
+    def mask(self, members: Iterable[int]) -> int:
+        """The int mask of distinct valid member indices."""
+        return sum(map(self.bits.__getitem__, members))
 
-    def span_area(self, members: frozenset) -> Fraction:
-        """Span area of a validated cluster with at least one member, memoized.
+    def members(self, mask: int) -> frozenset:
+        """The frozenset of member indices flagged in ``mask``."""
+        # Frozen from a set, so that its table is sized to its members.
+        return frozenset(set(_picked(self.order, mask)))
+
+    def span_area(self, mask: int) -> Fraction:
+        """Span area of the members flagged in ``mask``, memoized by mask.
+
+        Zero below two members.
 
         For a convex chain with breakpoints between lines (v1, a1) and
         (v2, a2), integrating piece by piece and summing by parts gives
@@ -372,11 +380,13 @@ class SpanKernel:
         span area is the integral of the upper chain of the lines plus that
         of the upper chain of the mirrored lines, all over den.
         """
-        area = self.spans.get(members)
+        if not mask & (mask - 1):
+            return _ZERO
+        area = self.spans.get(mask)
         if area is None:
             ends = 0  # 2 F(1) of both chains, in units of 1/den
             num, den = 0, 1  # sum of (a1 - a2)^2 / (v2 - v1) over the breakpoints
-            ordered = self.ordered(members)
+            ordered = list(_picked(self.lines, mask))
             for chain in (_upper_chain(ordered), _upper_chain(_mirrored(ordered))):
                 v, a = chain[-1]
                 ends += 2 * a + v
@@ -385,7 +395,7 @@ class SpanKernel:
                     g = math.gcd(den, dv)
                     num = num * (dv // g) + da * da * (den // g)
                     den = den // g * dv
-            area = self.spans[members] = Fraction(ends * den + num, 2 * self.den * den)
+            area = self.spans[mask] = Fraction(ends * den + num, 2 * self.den * den)
         return area
 
     def pair_row(self, i: int) -> tuple[Fraction, ...]:
@@ -438,7 +448,7 @@ def envelope(S: TrajectorySet, C: Iterable[int], side: Side) -> Envelope:
     if not members:
         raise ValueError("envelope of an empty cluster")
     kernel = S.kernel
-    lines = kernel.ordered(members)
+    lines = list(_picked(kernel.lines, kernel.mask(members)))
     # The left envelope is the right envelope of the mirrored lines, negated.
     sign = 1 if side == "right" else -1
     chain = _upper_chain(lines if sign == 1 else _mirrored(lines))
@@ -456,10 +466,9 @@ def diameter(S: TrajectorySet, C: Iterable[int]) -> Fraction:
 
     Zero for empty and singleton clusters; otherwise the integral of the
     right envelope minus that of the left, summed exactly over the convex
-    chains of the members' lines in O(m log m) for m members.  Results are
-    memoized in the instance's kernel, keyed by the cluster's frozenset.
+    chains of the members' lines, which the cluster's mask yields already
+    sorted.  Results are memoized in the instance's kernel, keyed by the
+    cluster's int mask.
     """
-    members = as_cluster(C, len(S))
-    if len(members) <= 1:
-        return _ZERO
-    return S.kernel.span_area(members)
+    kernel = S.kernel
+    return kernel.span_area(kernel.mask(as_cluster(C, len(S))))

@@ -3,8 +3,9 @@
 Exhaustive enumeration of set partitions (restricted growth strings),
 optima over all or only well-separated clusterings, Stirling counting
 checks, a numeric Riemann cross-check of the exact span area, and slow
-exact referees for the kernel: span areas by trapezoids over the
-pairwise crossing-time grid, envelopes read off at slab midpoints, holes
+exact referees for the kernel: the bottom-leftmost member by a direct
+minimum, span areas by trapezoids over the pairwise crossing-time grid,
+envelopes read off at slab midpoints, holes
 from a re-sort of the trajectories in every slab, the side-set poset
 from frozenset comparisons, the well-separated chain DP over
 frozensets and Fractions, and the exact sum of diameters by a
@@ -25,10 +26,10 @@ from .geometry import (
     Objective,
     Side,
     Solution,
+    Trajectory,
     TrajectorySet,
     as_cluster,
     canonical_key,
-    crossing_time,
     diameter,
     normalize_clustering,
 )
@@ -179,6 +180,35 @@ def numeric_diameter(S: TrajectorySet, C, steps: int) -> Fraction:
     return Fraction(total, scale * steps * den)
 
 
+def bottom_leftmost_index(S: TrajectorySet, C) -> int:
+    """Index of C's member with least position at t=0, ties by t=1.
+
+    A referee for the kernel's ``leftmost`` order, whose first member of C
+    it is.
+    """
+    cluster = as_cluster(C, len(S))
+    if not cluster:
+        raise ValueError("bottom_leftmost of an empty cluster")
+    return min(cluster, key=lambda i: S[i])
+
+
+def bottom_leftmost(S: TrajectorySet, C) -> Trajectory:
+    """Member with minimum position at t=0, ties broken by position at t=1."""
+    return S[bottom_leftmost_index(S, C)]
+
+
+def crossing_time(a: Trajectory, b: Trajectory) -> Fraction | None:
+    """Time at which two trajectories meet, or None for parallel ones.
+
+    The returned value may fall outside [0, 1]; callers filter.
+    """
+    d0 = a.x0 - b.x0
+    d1 = a.x1 - b.x1
+    if d0 == d1:
+        return None
+    return d0 / (d0 - d1)
+
+
 def _crossing_grid(S: TrajectorySet, members: list[int]) -> list[Fraction]:
     """0, 1, and every pairwise crossing time strictly between, sorted."""
     cuts = {_ZERO, _ONE}
@@ -293,12 +323,14 @@ def poset_by_inclusion(S: TrajectorySet, holes) -> SeparatorPoset:
     """The side-set poset by pairwise frozenset comparison, O(P^2).
 
     A referee for ``build_poset``: the distinct hole side-sets sorted by
-    (size, indices), each mapped to its strict supersets in that order.
+    (size, indices), each with the indices of its strict supersets in that
+    order.
     """
     full = S.all_indices()
     sets = {h.left_set for h in holes} | {full - h.left_set for h in holes}
     elements = tuple(sorted(sets, key=lambda c: (len(c), tuple(sorted(c)))))
-    return SeparatorPoset(elements, {a: tuple(b for b in elements if a < b) for a in elements})
+    succ = tuple(tuple(j for j, b in enumerate(elements) if a < b) for a in elements)
+    return SeparatorPoset(elements, succ)
 
 
 def wellsep_dp_by_sets(S: TrajectorySet, k: int, objective: Objective) -> Solution:

@@ -23,7 +23,6 @@ from typing import Iterable
 from .arrangement import (
     Hole,
     SeparatorPoset,
-    _picked,
     build_poset,
     compute_holes,
     hole_within_span,
@@ -37,8 +36,6 @@ from .geometry import (
     diameter,
     normalize_clustering,
 )
-
-_ZERO = Fraction(0)
 
 
 def sd_value(S: TrajectorySet, clustering: Iterable[Iterable[int]]) -> Fraction:
@@ -88,10 +85,10 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
     clusters: f(C, 1) = diam(C), and f(C, j) is the least f(A, j1) +
     f(C - A, j - j1) over the distinct splits {A, C - A} of C by a bounded
     hole and over 1 <= j1 < j with each side holding at least as many
-    members as clusters.  Clusters are int bitmasks (index i carries the
-    flag 1 << (n - 1 - i), as in the hole sweep), values reduced
-    integer (num, den) pairs compared by cross-multiplication, and each
-    leaf area is read once per distinct cluster through ``diameter``.
+    members as clusters.  Clusters are the instance kernel's int masks
+    (member i carries the flag of its slope rank, see SpanKernel), values
+    reduced integer (num, den) pairs compared by cross-multiplication, and
+    each leaf area is read once per distinct cluster through ``diameter``.
 
     Ties go to the least canonical key: each state keeps the least
     (value, key) pair, where the key of a split is the sorted merge of
@@ -106,10 +103,11 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
 
     # The first bounded hole, in hole order, of each distinct left mask.
+    kernel = S.kernel
     splitters: dict[int, Hole] = {}
     for h in compute_holes(S):
         if h.kind == "bounded":
-            splitters.setdefault(sum(1 << (n - 1 - i) for i in h.left_set), h)
+            splitters.setdefault(kernel.mask(h.left_set), h)
     masks = tuple(splitters)
 
     values: dict[int, list[tuple[int, int]]] = {}  # cluster -> f(C, j) for j = 1, 2, ...
@@ -131,7 +129,7 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
         """Canonical key of the best clustering of state (C, j)."""
         found = keys.get((C, j))
         if found is None:
-            leaves = [tuple(_picked(range(n), D)) for D, i in walk(C, j) if i == 1]
+            leaves = [tuple(sorted(kernel.members(D))) for D, i in walk(C, j) if i == 1]
             found = keys[C, j] = tuple(sorted(leaves))
         return found
 
@@ -146,7 +144,7 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
                 f"sd_exact_goodseq: the split-tree DP needs more than "
                 f"MAX_SPLIT_STATES = {MAX_SPLIT_STATES} distinct clusters"
             )
-        area = diameter(S, frozenset(_picked(range(n), C)))
+        area = diameter(S, kernel.members(C))
         vals = values[C] = [(area.numerator, area.denominator)]
         return vals
 
@@ -224,7 +222,7 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
     steps: list[tuple[Hole, frozenset]] = []
     leaves: list[frozenset] = []
     for C, j in walk(full, k):
-        members = frozenset(_picked(range(n), C))
+        members = kernel.members(C)
         if j == 1:
             leaves.append(members)
         else:
@@ -245,10 +243,11 @@ class ChainTable:
 
     Element e is ``elements[e]`` of the instance's side-set poset, in the
     poset's canonical order, so the empty set is element 0 and the full
-    set the last one.  Its row holds its strict supersets as element
-    indices in ``succ[e]``, in canonical order, and the exact area of
-    each block (superset minus element) as the integers ``nums[e][i] /
-    dens[e][i]``.
+    set the last one.  ``succ`` is the poset's own: ``succ[e]`` lists the
+    element indices of e's strict supersets, in canonical order.  Row e
+    holds the exact area of each block (superset minus element) as the
+    integers ``nums[e][i] / dens[e][i]``, read from the kernel by the XOR
+    of the two elements' masks.
 
     ``layers`` maps (objective, j) to DP layer j: the best value of a
     well-separated j-clustering of each element's complement, as reduced
@@ -262,19 +261,15 @@ class ChainTable:
     __slots__ = ("elements", "succ", "nums", "dens", "layers")
 
     def __init__(self, kernel: SpanKernel, poset: SeparatorPoset) -> None:
-        elements = poset.elements
-        index = {C: e for e, C in enumerate(elements)}
         span_area = kernel.span_area
-        succ, nums, dens = [], [], []
-        for C in elements:
-            sups = poset.strict_supersets(C)
-            blocks = [sup - C for sup in sups]
-            areas = [span_area(B) if len(B) > 1 else _ZERO for B in blocks]
-            succ.append(tuple([index[sup] for sup in sups]))
+        masks = list(map(kernel.mask, poset.elements))
+        nums, dens = [], []
+        for C, sups in zip(masks, poset.succ):
+            areas = [span_area(masks[s] ^ C) for s in sups]
             nums.append(tuple([a.numerator for a in areas]))
             dens.append(tuple([a.denominator for a in areas]))
-        self.elements = elements
-        self.succ, self.nums, self.dens = succ, nums, dens
+        self.elements, self.succ = poset.elements, poset.succ
+        self.nums, self.dens = nums, dens
         # Layer 1 is the single block from an element to the full set, the
         # last strict superset of every other element; it is the same for
         # both objectives.

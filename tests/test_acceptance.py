@@ -18,7 +18,6 @@ from kinclust import (
     Solution,
     Trajectory,
     TrajectorySet,
-    bottom_leftmost_index,
     bsearch,
     compute_holes,
     diameter,
@@ -36,6 +35,7 @@ from kinclust import (
 )
 from kinclust.max_diameter import GP_FACTOR
 from kinclust.oracle import (
+    bottom_leftmost_index,
     brute_opt,
     brute_opt_md,
     brute_opt_wellsep,

@@ -507,6 +507,18 @@ class TestRender:
         out = tmp_path / "q.svg"
         assert main(["render", quartet_file, "--clusters", str(clusters), "-o", str(out)]) == 1
 
+    @pytest.mark.parametrize(
+        "doc", ['{"clusters": 5}', '{"clusters": [5]}', '{"clusters": [[[1]]]}']
+    )
+    def test_clusters_not_index_lists(self, quartet_file, tmp_path, capsys, doc):
+        clusters = tmp_path / "clusters.json"
+        clusters.write_text(doc)
+        out = tmp_path / "q.svg"
+        assert main(["render", quartet_file, "--clusters", str(clusters), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: clusters file must be") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):

@@ -9,13 +9,12 @@ from kinclust import (
     Trajectory,
     TrajectorySet,
     as_scalar,
-    bottom_leftmost,
     diameter,
     envelope,
     normalize_clustering,
     pairwise_diameter,
 )
-from kinclust.oracle import numeric_diameter
+from kinclust.oracle import bottom_leftmost, numeric_diameter
 
 from conftest import BALL_FACTOR, make_instance, random_trajectory
 

@@ -12,12 +12,14 @@ import pickle
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinclust import (
+    Trajectory,
     TrajectorySet,
     bsearch,
     build_poset,
@@ -31,7 +33,8 @@ from kinclust import (
     sd_exact_goodseq,
     sd_wellsep_dp,
 )
-from kinclust.oracle import envelope_grid, span_area_grid
+from kinclust.geometry import _picked
+from kinclust.oracle import bottom_leftmost_index, envelope_grid, span_area_grid
 
 from conftest import (
     DEGENERATE_FAMILIES,
@@ -138,6 +141,78 @@ class TestPairRows:
             TrajectorySet.from_pairs([("0", "1")]).kernel.min_pair_area()
 
 
+class TestIntMasks:
+    """The kernel's int-mask encoding against the frozenset referees.
+
+    The chain table's block areas come from the XOR of two elements'
+    masks, and ``diameter`` encodes its cluster afresh; both must land on
+    the memo entry of the same member set, checked here against the grid
+    referee, which shares no code with the kernel.
+    """
+
+    @staticmethod
+    def _blocks(S, count=None, rng=None):
+        """(block, area) of every chain-table entry, or of ``count`` of them."""
+        sd_wellsep_dp(S, 1)
+        table = S.kernel.chain_table
+        entries = [(e, i) for e, sups in enumerate(table.succ) for i in range(len(sups))]
+        if count is not None:
+            entries = rng.sample(entries, count)
+        for e, i in entries:
+            block = table.elements[table.succ[e][i]] - table.elements[e]
+            yield block, Fraction(table.nums[e][i], table.dens[e][i])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_table_blocks_match_grid(self, seed):
+        S = make_instance(25000 + seed, 6 + 2 * seed)
+        for block, area in self._blocks(S):
+            assert area == span_area_grid(S, block)
+
+    @pytest.mark.parametrize(
+        "name", ["pencil-mid", "pencil-off-grid", "all-parallel", "parallel-mixed"]
+    )
+    def test_table_blocks_match_grid_on_degenerate_families(self, name):
+        S = TrajectorySet.from_pairs(DEGENERATE_FAMILIES[name])
+        for block, area in self._blocks(S):
+            assert area == span_area_grid(S, block)
+
+    def test_table_blocks_sample_at_32(self):
+        S = make_instance(25100, 32)
+        for block, area in self._blocks(S, 200, random.Random(32)):
+            assert area == span_area_grid(S, block)
+
+    def test_diameter_after_a_warm_memo(self):
+        S = make_instance(25200, 12)
+        sd_wellsep_dp(S, 3)
+        sd_exact_goodseq(S, 3)
+        kernel = S.kernel
+        warm = len(kernel.spans)
+        rng = random.Random(12)
+        blocks = [block for block, _ in self._blocks(S, 60, rng) if len(block) > 1]
+        for C in blocks:
+            assert diameter(S, C) == span_area_grid(S, C)
+        assert len(kernel.spans) == warm  # every block was a memo hit
+        for C in _subsets(rng, 12, 60):
+            assert diameter(S, C) == span_area_grid(S, C)
+
+    def test_memo_keys_are_masks_and_successors_stay_unbuilt(self):
+        S = make_instance(25300, 10)
+        sd_wellsep_dp(S, 3)
+        kernel = S.kernel
+        assert kernel.spans and all(type(key) is int for key in kernel.spans)
+        assert kernel.chain_table.succ is kernel.poset.succ
+        assert "successors" not in vars(kernel.poset)
+
+    def test_leftmost_matches_referee(self):
+        rng = random.Random(5)
+        for seed in range(5):
+            S = make_instance(25400 + seed, 9)
+            for C in _subsets(rng, 9, 10):
+                C = frozenset(C)
+                first = next(i for i in S.kernel.leftmost if i in C)
+                assert first == bottom_leftmost_index(S, C)
+
+
 # --- metamorphic properties ---------------------------------------------
 
 _COORD = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -189,6 +264,31 @@ def test_monotone_under_inclusion(pairs, data):
     big = _cluster(data, len(S))
     small = frozenset(data.draw(st.sets(st.sampled_from(sorted(big)))))
     assert diameter(S, small) <= diameter(S, big)
+
+
+@_PROPERTY
+@given(_INSTANCE, st.data())
+def test_mask_round_trip(pairs, data):
+    S = TrajectorySet.from_pairs(pairs)
+    kernel = S.kernel
+    C = _cluster(data, len(S))
+    mask = kernel.mask(C)
+    assert kernel.members(mask) == C
+    assert mask.bit_count() == len(C)
+    assert list(_picked(kernel.lines, mask)) == sorted(kernel.lines[kernel.rank[i]] for i in C)
+
+
+_TRAJECTORY = st.builds(Trajectory, _COORD, _COORD)
+
+
+@_PROPERTY
+@given(_TRAJECTORY, _TRAJECTORY, _TRAJECTORY)
+def test_pairwise_diameter_is_a_metric(a, b, c):
+    ab = pairwise_diameter(a, b)
+    assert ab == pairwise_diameter(b, a)
+    assert pairwise_diameter(a, a) == 0
+    assert (ab == 0) == (a == b)
+    assert pairwise_diameter(a, c) <= ab + pairwise_diameter(b, c)
 
 
 # --- value semantics --------------------------------------------------------

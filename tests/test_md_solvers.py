@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from kinclust import (
-    bottom_leftmost,
     bsearch,
     diameter,
     gp,
@@ -14,7 +13,7 @@ from kinclust import (
     md_value,
     pairwise_diameter,
 )
-from kinclust.oracle import brute_opt_md
+from kinclust.oracle import bottom_leftmost, brute_opt_md
 
 from conftest import GP_BOUND, KCENTER_BOUND, make_instance
 
