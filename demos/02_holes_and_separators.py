@@ -43,7 +43,7 @@ print("well separated:", is_well_separated(S, clustering))
 def cover_relations(poset):
     """A -> B for A < B with no side-set strictly between them."""
     for a in poset.elements:
-        sups = poset.strict_supersets(a)
+        sups = poset.successors[a]
         for b in sups:
             if not any(a < c < b for c in sups):
                 yield a, b
@@ -51,7 +51,7 @@ def cover_relations(poset):
 
 poset = build_poset(S, holes)
 print(f"\nside-set poset: {len(poset)} elements "
-      f"(source {sorted(poset.source())}, sink {sorted(poset.sink())})")
+      f"(source {sorted(poset.elements[0])}, sink {sorted(poset.elements[-1])})")
 print("cover relations:")
 for a, b in cover_relations(poset):
     print(f"  {sorted(a)} -> {sorted(b)}")

@@ -43,9 +43,10 @@ class Hole:
 def compute_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     """All faces of the arrangement, one Hole per face.
 
-    Computed once per instance and kept in its kernel; every later call on
-    the same instance returns the same tuple, ordered by (t_lo, size of
-    the left set, its sorted indices).
+    Computed once per instance and kept in its kernel, the one result of
+    this module it keeps; every later call on the same instance returns
+    the same tuple, ordered by (t_lo, size of the left set, its sorted
+    indices).
 
     Event sweep (kinetic sorting): at any time the faces are exactly the
     prefixes of the left-to-right order of the trajectories, the empty
@@ -204,11 +205,12 @@ def is_well_separated(
 class SeparatorPoset:
     """The distinct hole side-sets, ordered by strict inclusion.
 
-    ``elements`` is sorted by (size, indices); ``succ[e]`` lists the
-    strict supersets of element e among the elements as element indices,
-    in the same canonical order.  The empty set is the unique source and
-    the full index set the unique sink.  ``successors`` maps each element
-    to its strict supersets as frozensets; it is built on first read.
+    ``elements`` is sorted by (size, indices), so the empty set, the
+    unique source, is ``elements[0]`` and the full index set, the unique
+    sink, is ``elements[-1]``.  ``succ[e]`` lists the strict supersets of
+    element e among the elements as element indices, in the same
+    canonical order.  ``successors`` maps each element to its strict
+    supersets as frozensets; it is built on first read.
     """
 
     elements: tuple[frozenset, ...]
@@ -219,35 +221,16 @@ class SeparatorPoset:
         elements = self.elements
         return {C: tuple(map(elements.__getitem__, sups)) for C, sups in zip(elements, self.succ)}
 
-    def strict_supersets(self, C: frozenset) -> tuple[frozenset, ...]:
-        return self.successors[C]
-
-    def source(self) -> frozenset:
-        return self.elements[0]
-
-    def sink(self) -> frozenset:
-        return self.elements[-1]
-
     def __len__(self) -> int:
         return len(self.elements)
 
 
 def build_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:
-    """Deduplicated side-sets of all holes under strict inclusion.
+    """Deduplicated side-sets of ``holes`` under strict inclusion.
 
-    When ``holes`` is the instance's own hole table (the very tuple
-    ``compute_holes(S)`` returns) the poset is built once and kept in the
-    instance's kernel; any other hole tuple gets a freshly built poset.
+    Built afresh on every call and kept nowhere: the well-separated DP
+    keeps what it needs of the instance's poset in its chain table.
     """
-    kernel = S.kernel
-    if kernel.holes is not None and holes is kernel.holes:
-        if kernel.poset is None:
-            kernel.poset = _inclusion_poset(S, holes)
-        return kernel.poset
-    return _inclusion_poset(S, holes)
-
-
-def _inclusion_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:
     # Complements are frozen from a set, so that each frozenset's table is
     # sized to its members rather than grown one member at a time.
     full = set(range(len(S)))

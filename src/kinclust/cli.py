@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .arrangement import compute_holes
-from .geometry import TrajectorySet, as_cluster, diameter
+from .geometry import TrajectorySet, diameter
 from .instances import (
     GeneratorConfig,
     InstanceError,
@@ -119,8 +119,7 @@ def _cmd_render(args) -> int:
             raise InstanceError(
                 "clusters file must be an object with a 'clusters' list of index lists"
             )
-        clustering = [as_cluster(c, len(S)) for c in clusters]
-        svg = render_svg(S, overlay="clustering", clustering=clustering)
+        svg = render_svg(S, overlay="clustering", clustering=clusters)
     else:
         svg = render_svg(S)
     Path(args.out).write_bytes(svg)
@@ -184,10 +183,7 @@ def main(argv=None) -> int:
             if args.solver != "gp" and args.k is None:
                 raise _UsageError(f"md {args.solver} requires -k")
         return args.handler(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (InstanceError, ValueError, OSError) as e:
+    except (_UsageError, InstanceError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -109,8 +109,9 @@ class TrajectorySet:
 
     The value is immutable.  Each instance also carries a ``kernel`` (see
     SpanKernel), built on first use, that memoizes span areas, holes, and
-    the side-set poset for that instance alone; it is not a field, so
-    equality, hashing, repr, pickling, and copying ignore it.
+    the well-separated DP's chain table for that instance alone; it is
+    not a field, so equality, hashing, repr, pickling, and copying ignore
+    it.
     """
 
     trajectories: tuple[Trajectory, ...]
@@ -192,6 +193,12 @@ class Solution:
     iterations: int | None = None
 
 
+def check_k(k: int, n: int) -> None:
+    """Require a number of clusters k: an int, not a bool, in [1, n]."""
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k!r}")
+
+
 def check_clustering(S: TrajectorySet, clustering: Iterable[Iterable[int]]) -> Clustering:
     """Validate that ``clustering`` partitions the index set of ``S``."""
     clusters = tuple(as_cluster(c, len(S)) for c in clustering)
@@ -208,16 +215,11 @@ def check_clustering(S: TrajectorySet, clustering: Iterable[Iterable[int]]) -> C
 def pairwise_diameter(a: Trajectory, b: Trajectory) -> Fraction:
     """Area of the span of two trajectories: the time integral of their distance.
 
-    Closed form: with d(t) the signed difference of positions, the integral of
-    |d| over [0,1] is |d(0)+d(1)|/2 when d keeps its sign, and otherwise the
-    two triangles on either side of the crossing.
+    Closed form (see ``_pair_terms``) in the signed differences d0 and d1 of
+    the positions at t=0 and t=1.
     """
-    d0 = a.x0 - b.x0
-    d1 = a.x1 - b.x1
-    if d0 * d1 >= 0:
-        return abs(d0 + d1) / 2
-    t = d0 / (d0 - d1)
-    return (abs(d0) * t + abs(d1) * (1 - t)) / 2
+    p, q = _pair_terms(a.x0 - b.x0, a.x1 - b.x1)
+    return p / (2 * q)
 
 
 @dataclass(frozen=True)
@@ -292,13 +294,14 @@ def _mirrored(lines: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(-v, -a) for v, a in reversed(lines)]
 
 
-def _pair_terms(d0: int, d1: int) -> tuple[int, int]:
-    """(p, q) with p / (2 q den) the span area of two members.
+def _pair_terms(d0, d1):
+    """(p, q) with p / (2 q) the span area of two members.
 
-    d0 and d1 are the members' differences at t=0 and t=1 in units of
-    1/den.  The closed form is that of ``pairwise_diameter``: |d0 + d1| / 2
-    without a sign change, else (d0^2 + d1^2) / (2 |d0 - d1|) for the two
-    triangles on either side of the crossing.
+    d0 and d1 are the members' signed differences at t=0 and t=1, as
+    Fractions or as integers in units of 1/den (the area is then over den
+    as well).  The integral of the difference's absolute value over [0, 1]
+    is |d0 + d1| / 2 without a sign change, else (d0^2 + d1^2) / (2 |d0 -
+    d1|) for the two triangles on either side of the crossing.
     """
     if d0 * d1 >= 0:
         return abs(d0 + d1), 1
@@ -322,18 +325,17 @@ class SpanKernel:
     a frozenset of indices and its mask.
 
     ``spans`` memoizes span areas by mask and ``rows`` the pairwise
-    span-area rows of the members asked for; ``holes`` and ``poset`` hold
-    the arrangement's hole table and side-set poset once computed (see
-    ``arrangement``; the poset keeps index successors, and its frozenset
-    ``successors`` view is built only when read), and ``chain_table`` the
-    block areas and layers of the well-separated dynamic program (see
-    ``sum_diameter.ChainTable``).  The kernel lives and dies with its
-    instance.
+    span-area rows of the members asked for; ``holes`` holds the
+    arrangement's hole table once computed (see ``arrangement``), and
+    ``chain_table`` the block areas and layers of the well-separated
+    dynamic program (see ``sum_diameter.ChainTable``), which keep the
+    side-set poset's elements and index successors; the poset itself is
+    not kept.  The kernel lives and dies with its instance.
     """
 
     __slots__ = (
         "den", "lines", "rank", "order", "bits", "leftmost",
-        "spans", "rows", "holes", "poset", "chain_table",
+        "spans", "rows", "holes", "chain_table",
     )
 
     def __init__(self, trajectories: tuple[Trajectory, ...]) -> None:
@@ -356,7 +358,6 @@ class SpanKernel:
         self.spans: dict[int, Fraction] = {}
         self.rows: dict[int, tuple[Fraction, ...]] = {}
         self.holes = None
-        self.poset = None
         self.chain_table = None
 
     def mask(self, members: Iterable[int]) -> int:

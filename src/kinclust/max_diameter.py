@@ -19,6 +19,7 @@ from .geometry import (
     Solution,
     TrajectorySet,
     as_scalar,
+    check_k,
     diameter,
     normalize_clustering,
 )
@@ -82,8 +83,7 @@ def bsearch(S: TrajectorySet, k: int, eps: ScalarLike = Fraction(1, 20)) -> Solu
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     n = len(S)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    check_k(k, n)
     if k == n:
         singletons = normalize_clustering([frozenset([i]) for i in range(n)])
         return Solution(
@@ -133,8 +133,7 @@ def kcenter_gonzalez(S: TrajectorySet, k: int) -> tuple[CenterSet, Clustering]:
     centers.
     """
     n = len(S)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    check_k(k, n)
 
     kernel = S.kernel
     seed = kernel.leftmost[0]

@@ -30,6 +30,7 @@ from .geometry import (
     TrajectorySet,
     as_cluster,
     canonical_key,
+    check_k,
     diameter,
     normalize_clustering,
 )
@@ -48,8 +49,7 @@ def enumerate_partitions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], ...]
     Blocks are emitted as sorted tuples ordered by their smallest element
     (the natural order of restricted growth strings).
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_k(k, n)
     if n > MAX_BRUTE_N:
         raise ValueError(f"refusing exhaustive enumeration for n={n} > {MAX_BRUTE_N}")
 
@@ -83,8 +83,7 @@ def stirling2(n: int, k: int) -> int:
 def _scan(S: TrajectorySet, k: int, wellsep_only: bool):
     """Yield (clustering, sd, md) over partitions, optionally filtered."""
     n = len(S)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    check_k(k, n)
     holes = compute_holes(S) if wellsep_only else None
     for blocks in enumerate_partitions(n, k):
         clusters = tuple(frozenset(b) for b in blocks)
@@ -347,16 +346,14 @@ def wellsep_dp_by_sets(S: TrajectorySet, k: int, objective: Objective) -> Soluti
     """
     if objective not in ("sd", "md"):
         raise ValueError(f"objective must be 'sd' or 'md', got {objective!r}")
-    n = len(S)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    check_k(k, len(S))
     combine = (lambda a, b: a + b) if objective == "sd" else max
     poset = poset_by_inclusion(S, compute_holes(S))
     full = S.all_indices()
     empty = frozenset()
 
     blocks = {
-        C: [(sup, diameter(S, sup - C)) for sup in poset.strict_supersets(C)]
+        C: [(sup, diameter(S, sup - C)) for sup in poset.successors[C]]
         for C in poset.elements
     }
 
@@ -405,9 +402,7 @@ def goodseq_by_frontier(S: TrajectorySet, k: int) -> Solution:
     and clustering, though its certificate may name other splits.  Its
     cost follows the number of distinct clusterings in the frontier.
     """
-    n = len(S)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    check_k(k, len(S))
 
     holes = compute_holes(S)
     splitters = [h for h in holes if h.kind == "bounded"]

@@ -33,6 +33,7 @@ from .geometry import (
     Solution,
     SpanKernel,
     TrajectorySet,
+    check_k,
     diameter,
     normalize_clustering,
 )
@@ -70,10 +71,13 @@ class GoodSequence:
         return normalize_clustering(current)
 
 
-# Most distinct clusters one ``sd_exact_goodseq`` call may memoize.  The
-# split-tree DP reaches 18,922 of them at n=32, k=4; past the cap it
-# raises ValueError instead of growing its memo further.
-MAX_SPLIT_STATES = 200_000
+# Most units of work one ``sd_exact_goodseq`` call may do: one per
+# bounded-hole mask scanned while listing a cluster's splits, and one per
+# (split, j, j1) triple a combine tries.  Every memoized cluster is a side
+# of a listed split, so the budget bounds memory as well as time.  n=40,
+# k=4 (seed 1) takes about 7.4 million units, 48 parallel lines at k=48
+# about 6.6 million; past the cap the call raises ValueError.
+MAX_SPLIT_WORK = 20_000_000
 
 
 def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
@@ -96,11 +100,10 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
     in each side, so the root gets the least key among all optima.  The
     certificate lists the splits of the tree, parents first, each by the
     first bounded hole in hole order that realizes it.  Raises ValueError
-    once more than MAX_SPLIT_STATES distinct clusters would be memoized.
+    before its work would exceed MAX_SPLIT_WORK units.
     """
     n = len(S)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    check_k(k, n)
 
     # The first bounded hole, in hole order, of each distinct left mask.
     kernel = S.kernel
@@ -137,13 +140,19 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
         """Key of splitting C into A with j1 clusters and C - A with j - j1."""
         return tuple(sorted(key(a, j1) + key(C ^ a, j - j1)))
 
-    def leaf(C: int) -> list[tuple[int, int]]:
-        """values[C] for a cluster not memoized yet: f(C, 1) alone."""
-        if len(values) >= MAX_SPLIT_STATES:
+    work = 0
+
+    def charge(units: int) -> None:
+        nonlocal work
+        work += units
+        if work > MAX_SPLIT_WORK:
             raise ValueError(
                 f"sd_exact_goodseq: the split-tree DP needs more than "
-                f"MAX_SPLIT_STATES = {MAX_SPLIT_STATES} distinct clusters"
+                f"MAX_SPLIT_WORK = {MAX_SPLIT_WORK} units of work"
             )
+
+    def leaf(C: int) -> list[tuple[int, int]]:
+        """values[C] for a cluster not memoized yet: f(C, 1) alone."""
         area = diameter(S, kernel.members(C))
         vals = values[C] = [(area.numerator, area.denominator)]
         return vals
@@ -165,6 +174,7 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
             # The distinct splits {A, C - A}, by their smaller side, with the
             # sides' value lists, which their own entries extend in place;
             # each side needs f for up to min(its size, r - 1) clusters.
+            charge(len(masks))
             splits, seen, needs = [], set(), []
             for L in masks:
                 a = C & L
@@ -187,6 +197,7 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
         # The (j, j1) pairs to try on a split whose sides both have f up to
         # r - 1; a smaller side drops the pairs giving it too many clusters.
         pairs = [(j, j1) for j in range(have + 1, r + 1) for j1 in range(1, j)]
+        charge(len(splits) * len(pairs))
         # best[j] = [num, den, A, j1, key or None] of the least (value, key) so far.
         best: list = [None] * (r + 1)
         for a, b, va, vb in splits:
@@ -324,9 +335,7 @@ def _wellsep_chain_dp(S: TrajectorySet, k: int, objective: Objective) -> Solutio
     clusters are empty and the result has fewer than k nonempty clusters.
     The layers come from the instance's chain table, built on first use.
     """
-    n = len(S)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    check_k(k, len(S))
 
     kernel = S.kernel
     table = kernel.chain_table

@@ -305,10 +305,10 @@ class TestSeparatorPoset:
         poset = build_poset(two_verticals, compute_holes(two_verticals))
         e, a, b, s = frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})
         assert poset.elements == (e, a, b, s)
-        assert poset.source() == e and poset.sink() == s
-        assert poset.strict_supersets(e) == (a, b, s)
-        assert poset.strict_supersets(a) == (s,)
-        assert poset.strict_supersets(b) == (s,)
+        assert poset.elements[0] == e and poset.elements[-1] == s
+        assert poset.successors[e] == (a, b, s)
+        assert poset.successors[a] == (s,)
+        assert poset.successors[b] == (s,)
 
     def test_three_lines_all_subsets(self, three_lines):
         poset = build_poset(three_lines, compute_holes(three_lines))
@@ -319,7 +319,7 @@ class TestSeparatorPoset:
             S = make_instance(13000 + trial, 6)
             poset = build_poset(S, compute_holes(S))
             for a in poset.elements:
-                sups = set(poset.strict_supersets(a))
+                sups = set(poset.successors[a])
                 for b in poset.elements:
                     assert (b in sups) == (a < b)
 
@@ -327,8 +327,8 @@ class TestSeparatorPoset:
         for trial in range(10):
             S = make_instance(14000 + trial, 5)
             poset = build_poset(S, compute_holes(S))
-            assert poset.source() == frozenset()
-            assert poset.sink() == S.all_indices()
+            assert poset.elements[0] == frozenset()
+            assert poset.elements[-1] == S.all_indices()
 
 
 class TestSixTrajectoryDag:

@@ -105,11 +105,11 @@ class TestSd:
     def test_exact_work_guard(self, nested_file, capsys, monkeypatch):
         from kinclust import sum_diameter
 
-        monkeypatch.setattr(sum_diameter, "MAX_SPLIT_STATES", 3)
+        monkeypatch.setattr(sum_diameter, "MAX_SPLIT_WORK", 3)
         assert main(["sd", "exact", nested_file, "-k", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "MAX_SPLIT_STATES = 3" in captured.err
+        assert "MAX_SPLIT_WORK = 3" in captured.err
 
 
 class TestMd:

@@ -12,6 +12,7 @@ import pickle
 import random
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,13 @@ from kinclust import (
     sd_wellsep_dp,
 )
 from kinclust.geometry import _picked
-from kinclust.oracle import bottom_leftmost_index, envelope_grid, span_area_grid
+from kinclust.oracle import (
+    bottom_leftmost_index,
+    envelope_grid,
+    poset_by_inclusion,
+    span_area_grid,
+)
+from kinclust.sum_diameter import ChainTable
 
 from conftest import (
     DEGENERATE_FAMILIES,
@@ -200,8 +207,19 @@ class TestIntMasks:
         sd_wellsep_dp(S, 3)
         kernel = S.kernel
         assert kernel.spans and all(type(key) is int for key in kernel.spans)
-        assert kernel.chain_table.succ is kernel.poset.succ
-        assert "successors" not in vars(kernel.poset)
+        poset = build_poset(S, compute_holes(S))
+        assert ChainTable(kernel, poset).succ is poset.succ
+        assert "successors" not in vars(poset)
+
+    @pytest.mark.parametrize("seed", [25310, 25311, 25312])
+    def test_warm_chain_table_keeps_the_referee_poset(self, seed):
+        S = make_instance(seed, 9)
+        sd_wellsep_dp(S, 3)
+        md_wellsep_dp(S, 4)
+        table = S.kernel.chain_table
+        reference = poset_by_inclusion(S, compute_holes(S))
+        assert table.elements == reference.elements
+        assert table.succ == reference.succ
 
     def test_leftmost_matches_referee(self):
         rng = random.Random(5)
@@ -343,23 +361,20 @@ class TestArrangementCache:
         assert compute_holes(twin) == compute_holes(S)
         assert compute_holes(twin) is not compute_holes(S)
 
-    def test_poset_reused_only_for_the_instances_own_holes(self):
+    def test_poset_built_fresh_on_every_call(self):
+        # Nothing keeps the poset: each call builds its own, and it dies
+        # with its last reference.
         S = make_instance(10, 8)
         holes = compute_holes(S)
         poset = build_poset(S, holes)
-        assert build_poset(S, holes) is poset
-
-        copied = tuple(list(holes))
-        assert copied is not holes
-        other = build_poset(S, copied)
-        assert other is not poset and other.elements == poset.elements
-
-        twin_holes = compute_holes(parse_instance(dumps_instance(S)))
-        assert build_poset(S, twin_holes) is not poset
+        again = build_poset(S, holes)
+        assert again is not poset and again == poset
+        gone = weakref.ref(poset)
+        del poset
+        assert gone() is None
 
         subset = build_poset(S, holes[:3])
-        assert subset is not poset and len(subset) < len(poset)
-        assert build_poset(S, holes) is poset
+        assert len(subset) < len(again)
 
 
 def test_threads_sharing_one_instance_agree():

@@ -166,14 +166,23 @@ class TestExactSolverWorkGuard:
         # not let a later one past the cap.
         S = make_instance(4700, 8)
         sd_exact_goodseq(S, 3)
-        monkeypatch.setattr(sum_diameter, "MAX_SPLIT_STATES", 5)
-        with pytest.raises(ValueError, match="MAX_SPLIT_STATES = 5"):
+        monkeypatch.setattr(sum_diameter, "MAX_SPLIT_WORK", 5)
+        with pytest.raises(ValueError, match="MAX_SPLIT_WORK = 5"):
             sd_exact_goodseq(S, 3)
-        with pytest.raises(ValueError, match="MAX_SPLIT_STATES = 5"):
+        with pytest.raises(ValueError, match="MAX_SPLIT_WORK = 5"):
             sd_exact_goodseq(make_instance(4700, 8), 3)
 
+    def test_combines_are_charged(self, monkeypatch):
+        # 20 parallel lines at k=20 scan about 3.6k hole masks but try
+        # about 86k (split, j, j1) triples in their combines.
+        S = TrajectorySet.from_pairs([(i, i) for i in range(20)])
+        monkeypatch.setattr(sum_diameter, "MAX_SPLIT_WORK", 50_000)
+        with pytest.raises(ValueError, match="MAX_SPLIT_WORK = 50000"):
+            sd_exact_goodseq(S, 20)
+
     def test_k_one_needs_one_cluster(self, monkeypatch):
-        monkeypatch.setattr(sum_diameter, "MAX_SPLIT_STATES", 1)
+        # One cluster lists no split, so it does no work.
+        monkeypatch.setattr(sum_diameter, "MAX_SPLIT_WORK", 0)
         S = make_instance(4701, 8)
         assert sd_exact_goodseq(S, 1).value == diameter(S, S.all_indices())
 

@@ -1,4 +1,4 @@
-"""One result type for every solver, whatever its objective."""
+"""One result type and one rule for k for every solver, whatever its objective."""
 
 import dataclasses
 
@@ -7,13 +7,22 @@ import pytest
 from kinclust import (
     Solution,
     bsearch,
+    kcenter_gonzalez,
     md_value,
     md_wellsep_dp,
     sd_exact_goodseq,
     sd_value,
     sd_wellsep_dp,
 )
-from kinclust.oracle import brute_opt_md, brute_opt_sd, brute_opt_wellsep
+from kinclust.oracle import (
+    brute_opt,
+    brute_opt_md,
+    brute_opt_sd,
+    brute_opt_wellsep,
+    enumerate_partitions,
+    goodseq_by_frontier,
+    wellsep_dp_by_sets,
+)
 
 from conftest import make_instance
 
@@ -32,6 +41,17 @@ SOLVERS = {
 }
 VALUE = {"sd": sd_value, "md": md_value}
 
+# Every function taking a number of clusters k, as (S, k).
+TAKES_K = {
+    **{name: solver for name, (solver, _, _) in SOLVERS.items()},
+    "kcenter_gonzalez": kcenter_gonzalez,
+    "brute_opt": brute_opt,
+    "wellsep_dp_by_sets_sd": lambda S, k: wellsep_dp_by_sets(S, k, "sd"),
+    "wellsep_dp_by_sets_md": lambda S, k: wellsep_dp_by_sets(S, k, "md"),
+    "goodseq_by_frontier": goodseq_by_frontier,
+    "enumerate_partitions": lambda S, k: enumerate_partitions(len(S), k),
+}
+
 
 def test_fields():
     names = [field.name for field in dataclasses.fields(Solution)]
@@ -48,3 +68,10 @@ def test_every_solver_returns_a_solution(name, seed, n, k):
     assert sol.objective == objective
     assert sol.value == VALUE[objective](S, sol.clustering)
     assert {field for field in CERTIFICATES if getattr(sol, field) is not None} == certificate
+
+
+@pytest.mark.parametrize("k", [2.5, True, "3"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("name", list(TAKES_K))
+def test_k_must_be_an_int(name, k):
+    with pytest.raises(ValueError, match=r"k must satisfy 1 <= k <= 5, got "):
+        TAKES_K[name](make_instance(4, 5), k)
