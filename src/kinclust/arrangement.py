@@ -174,31 +174,18 @@ def separates(S: TrajectorySet, h: Hole, C1: Iterable[int], C2: Iterable[int]) -
     return (a <= left and b <= right) or (b <= left and a <= right)
 
 
-def is_well_separated(
-    S: TrajectorySet,
-    clustering: Iterable[Iterable[int]],
-    holes: tuple[Hole, ...] | None = None,
-) -> bool:
-    """Every pair of nonempty clusters is separated by some uncovered hole."""
-    clusters = [C if isinstance(C, frozenset) else frozenset(C) for C in clustering]
-    clusters = [C for C in clusters if C]
+def is_well_separated(S: TrajectorySet, clustering: Iterable[Iterable[int]]) -> bool:
+    """Every pair of nonempty clusters is separated by some uncovered hole.
+
+    No cluster meets both sides of an uncovered hole, so each uncovered
+    hole puts every cluster on one side, and two clusters are separated
+    exactly when their tuples of sides over the uncovered holes differ.
+    """
+    clusters = [C for C in map(frozenset, clustering) if C]
     if len(clusters) <= 1:
         return True
-    if holes is None:
-        holes = compute_holes(S)
-    uncovered = [h for h in holes if not is_covered(S, h, clusters)]
-    full = S.all_indices()
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            a, b = clusters[i], clusters[j]
-            for h in uncovered:
-                left = h.left_set
-                right = full - left
-                if (a <= left and b <= right) or (b <= left and a <= right):
-                    break
-            else:
-                return False
-    return True
+    uncovered = [h.left_set for h in compute_holes(S) if not is_covered(S, h, clusters)]
+    return len({tuple(C <= left for left in uncovered) for C in clusters}) == len(clusters)
 
 
 @dataclass(frozen=True)

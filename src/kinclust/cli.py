@@ -177,7 +177,7 @@ def main(argv=None) -> int:
         print("run 'kinclust --help' for usage", file=sys.stderr)
         return 1
     try:
-        if getattr(args, "command", None) == "md":
+        if args.command == "md":
             if args.solver == "gp" and args.threshold is None:
                 raise _UsageError("md gp requires -D")
             if args.solver != "gp" and args.k is None:

@@ -149,13 +149,13 @@ class TrajectorySet:
         return {"trajectories": self.trajectories}
 
 
-def as_cluster(indices: Iterable[int], n: int | None = None) -> frozenset:
-    """Validate a collection of trajectory indices and freeze it."""
+def as_cluster(indices: Iterable[int], n: int) -> frozenset:
+    """Validate a collection of indices into n trajectories and freeze it."""
     cluster = frozenset(indices)
     for i in cluster:
         if type(i) is not int and (not isinstance(i, int) or isinstance(i, bool)):
             raise ValueError(f"cluster member {i!r} is not an integer index")
-        if i < 0 or (n is not None and i >= n):
+        if not 0 <= i < n:
             raise ValueError(f"cluster index {i} out of range")
     return cluster
 

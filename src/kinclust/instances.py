@@ -45,10 +45,10 @@ def scalar_literal(v: Fraction) -> str:
     return f"{sign}{digits[:-e]}.{digits[-e:]}"
 
 
-def scalar_decimal(v: Fraction, digits: int = 12) -> str:
-    """Decimal rendering rounded to the given number of significant digits."""
+def scalar_decimal(v: Fraction) -> str:
+    """Decimal rendering rounded to 12 significant digits."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 12
         return str(Decimal(v.numerator) / Decimal(v.denominator))
 
 
@@ -126,10 +126,10 @@ class GeneratorConfig:
         object.__setattr__(
             self, "slope_range", tuple(as_scalar(v) for v in self.slope_range)
         )
-        if self.n < 1:
-            raise InstanceError(f"n must be at least 1, got {self.n}")
-        if self.grid < 1:
-            raise InstanceError(f"grid must be at least 1, got {self.grid}")
+        for name in ("n", "grid"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise InstanceError(f"{name} must be an int of at least 1, got {v!r}")
         for lo, hi in (self.x0_range, self.slope_range):
             if lo > hi:
                 raise InstanceError(f"empty range ({lo}, {hi})")

@@ -84,10 +84,9 @@ def _scan(S: TrajectorySet, k: int, wellsep_only: bool):
     """Yield (clustering, sd, md) over partitions, optionally filtered."""
     n = len(S)
     check_k(k, n)
-    holes = compute_holes(S) if wellsep_only else None
     for blocks in enumerate_partitions(n, k):
         clusters = tuple(frozenset(b) for b in blocks)
-        if wellsep_only and not is_well_separated(S, clusters, holes):
+        if wellsep_only and not is_well_separated(S, clusters):
             continue
         diams = [diameter(S, c) for c in clusters]
         yield clusters, sum(diams, _ZERO), max(diams)
@@ -425,18 +424,9 @@ def goodseq_by_frontier(S: TrajectorySet, k: int) -> Solution:
                         nxt[child] = steps + ((h, C),)
         frontier = nxt
 
-    # Ties go to the smaller canonical key, built only when a value ties.
-    best_value = best_key = best = None
-    for clustering, steps in frontier.items():
-        value = sum((diameter(S, C) for C in clustering), _ZERO)
-        if best is None or value < best_value:
-            best_value, best_key, best = value, None, (clustering, steps)
-        elif value == best_value:
-            if best_key is None:
-                best_key = canonical_key(best[0])
-            key = canonical_key(clustering)
-            if key < best_key:
-                best_key, best = key, (clustering, steps)
-    assert best is not None, "split enumeration cannot dead-end for k <= n"
-    clustering, steps = best
-    return Solution(clustering, best_value, "sd", "exact-goodseq", sequence=GoodSequence(steps))
+    best = _Best()
+    for clustering in frontier:
+        best.offer(sum((diameter(S, C) for C in clustering), _ZERO), clustering)
+    assert best.clusters is not None, "split enumeration cannot dead-end for k <= n"
+    steps = frontier[best.clusters]
+    return Solution(best.clusters, best.value, "sd", "exact-goodseq", sequence=GoodSequence(steps))

@@ -13,6 +13,7 @@ from typing import Iterable
 from .arrangement import compute_holes, side_partition
 from .geometry import Envelope, TrajectorySet, check_clustering, envelope
 
+_WIDTH, _HEIGHT = 640, 480  # pixels
 _PALETTE = ("#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#b07aa1", "#76b7b2")
 
 
@@ -29,8 +30,6 @@ def render_svg(
     S: TrajectorySet,
     overlay: str = "none",
     clustering: Iterable[Iterable[int]] | None = None,
-    width: int = 640,
-    height: int = 480,
 ) -> bytes:
     """Render the instance as an SVG 1.1 document.
 
@@ -54,10 +53,10 @@ def render_svg(
     span_w = float(x_max - x_min)
 
     def px(x: Fraction) -> float:
-        return margin + (float(x) - float(x_min)) / span_w * (width - 2 * margin)
+        return margin + (float(x) - float(x_min)) / span_w * (_WIDTH - 2 * margin)
 
     def py(t: Fraction) -> float:
-        return height - margin - float(t) * (height - 2 * margin)
+        return _HEIGHT - margin - float(t) * (_HEIGHT - 2 * margin)
 
     def polygon(points, style: str, css: str) -> str:
         coords = []
@@ -70,10 +69,10 @@ def render_svg(
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
         f'<rect class="strip" x="{margin}" y="{margin}" '
-        f'width="{width - 2 * margin}" height="{height - 2 * margin}" '
+        f'width="{_WIDTH - 2 * margin}" height="{_HEIGHT - 2 * margin}" '
         f'fill="none" stroke="#999999" stroke-width="1"/>',
     ]
 

@@ -105,12 +105,10 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
     n = len(S)
     check_k(k, n)
 
-    # The first bounded hole, in hole order, of each distinct left mask.
+    # The bounded holes by left mask, in hole order; the sweep emits each
+    # face once, so no two holes share a left mask.
     kernel = S.kernel
-    splitters: dict[int, Hole] = {}
-    for h in compute_holes(S):
-        if h.kind == "bounded":
-            splitters.setdefault(kernel.mask(h.left_set), h)
+    splitters = {kernel.mask(h.left_set): h for h in compute_holes(S) if h.kind == "bounded"}
     masks = tuple(splitters)
 
     values: dict[int, list[tuple[int, int]]] = {}  # cluster -> f(C, j) for j = 1, 2, ...

@@ -299,6 +299,34 @@ class TestWellSeparated:
     def test_quartet_pairing_is_not(self, quartet):
         assert not is_well_separated(quartet, [{0, 2}, {1, 3}])
 
+    def test_matches_pairwise_definition(self):
+        # Random clusterings, partitions or not, with empty, duplicate and
+        # overlapping clusters, against the pair-by-pair reading of the rule.
+        rng = random.Random(12000)
+        seen = set()
+        for trial in range(600):
+            n = 1 + trial % 9
+            S = make_instance(12000 + trial, n)
+            labels = [rng.randrange(1 + trial % 5) for _ in range(n)]
+            clustering = [{i for i in range(n) if labels[i] == c} for c in set(labels)]
+            extra = rng.randrange(4)
+            if extra == 1:
+                clustering.append(set())
+            elif extra == 2:
+                clustering.append(set(rng.choice(clustering)))
+            elif extra == 3:
+                clustering.append(set(rng.sample(range(n), rng.randint(1, n))))
+            rng.shuffle(clustering)
+            clusters = [frozenset(C) for C in clustering if C]
+            uncovered = [h for h in compute_holes(S) if not is_covered(S, h, clusters)]
+            expected = all(
+                any(separates(S, h, a, b) for h in uncovered)
+                for a, b in combinations(clusters, 2)
+            )
+            assert is_well_separated(S, clustering) is expected, (trial, clustering)
+            seen.add(expected)
+        assert seen == {True, False}
+
 
 class TestSeparatorPoset:
     def test_two_verticals_structure(self, two_verticals):

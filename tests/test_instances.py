@@ -119,6 +119,11 @@ class TestGenerator:
                 GeneratorConfig(seed=1, n=5, x0_range=(0, 0), slope_range=(0, 1), grid=1)
             )
 
+    @pytest.mark.parametrize("field,value", [("n", 2.5), ("n", True), ("grid", 2.5), ("n", "3")])
+    def test_sizes_must_be_ints(self, field, value):
+        with pytest.raises(InstanceError, match=f"{field} must be an int of at least 1"):
+            GeneratorConfig(**{"seed": 1, "n": 3, field: value})
+
     def test_bad_config(self):
         with pytest.raises(InstanceError):
             GeneratorConfig(seed=1, n=0)

@@ -187,17 +187,29 @@ class TestExactSolverWorkGuard:
         assert sd_exact_goodseq(S, 1).value == diameter(S, S.all_indices())
 
 
+# (solver, its objective's value, id prefix) over (seed, n, k); the exact
+# solver's cases keep ids without a solver name.
+METAMORPHIC = [
+    pytest.param(solve, value_of, seed, n, k, id=f"{prefix}{seed}-{n}-{k}")
+    for solve, value_of, prefix in (
+        (sd_exact_goodseq, sd_value, ""),
+        (sd_wellsep_dp, sd_value, "sd_wellsep_dp-"),
+        (md_wellsep_dp, md_value, "md_wellsep_dp-"),
+    )
+    for seed, n, k in [(4800, 16, 4), (4801, 18, 3), (4802, 20, 3), (4803, 24, 4)]
+]
+
+
 class TestExactSolverMetamorphic:
-    """The optimal value is invariant under the maps that keep every span
-    area, and scales by |a| under x -> a x, at sizes past brute force."""
+    """Each solver's optimal value is invariant under the maps that keep
+    every span area and the arrangement's holes up to relabelling, and
+    scales by |a| under x -> a x, at sizes past brute force."""
 
-    CASES = [(4800, 16, 4), (4801, 18, 3), (4802, 20, 3)]
-
-    @pytest.mark.parametrize("seed,n,k", CASES)
-    def test_translation_drift_mirror_and_time_reversal(self, seed, n, k):
+    @pytest.mark.parametrize("solve,value_of,seed,n,k", METAMORPHIC)
+    def test_translation_drift_mirror_and_time_reversal(self, solve, value_of, seed, n, k):
         S = make_instance(seed, n)
         pairs = [(s.x0, s.x1) for s in S]
-        value = sd_exact_goodseq(S, k).value
+        value = solve(S, k).value
         c0, c1 = Fraction(-37, 3), Fraction(5, 7)
         for moved in (
             translated(pairs, c0, c0),
@@ -205,26 +217,26 @@ class TestExactSolverMetamorphic:
             mirrored(pairs),
             time_reversed(pairs),
         ):
-            assert sd_exact_goodseq(moved, k).value == value
+            assert solve(moved, k).value == value
 
-    @pytest.mark.parametrize("seed,n,k", CASES)
-    def test_scaling_multiplies_by_abs(self, seed, n, k):
+    @pytest.mark.parametrize("solve,value_of,seed,n,k", METAMORPHIC)
+    def test_scaling_multiplies_by_abs(self, solve, value_of, seed, n, k):
         S = make_instance(seed, n)
         pairs = [(s.x0, s.x1) for s in S]
-        value = sd_exact_goodseq(S, k).value
+        value = solve(S, k).value
         for a in (Fraction(3, 2), Fraction(-5, 3)):
-            assert sd_exact_goodseq(scaled(pairs, a), k).value == abs(a) * value
+            assert solve(scaled(pairs, a), k).value == abs(a) * value
 
-    @pytest.mark.parametrize("seed,n,k", CASES)
-    def test_index_permutation(self, seed, n, k):
+    @pytest.mark.parametrize("solve,value_of,seed,n,k", METAMORPHIC)
+    def test_index_permutation(self, solve, value_of, seed, n, k):
         S = make_instance(seed, n)
-        value = sd_exact_goodseq(S, k).value
+        value = solve(S, k).value
         perm = list(range(n))
         random.Random(seed).shuffle(perm)
         moved, _ = permuted(S, perm)
-        sol = sd_exact_goodseq(moved, k)
+        sol = solve(moved, k)
         assert sol.value == value
-        assert sd_value(S, [{perm[i] for i in C} for C in sol.clustering]) == value
+        assert value_of(S, [{perm[i] for i in C} for C in sol.clustering]) == value
 
 
 class TestWellSeparatedDp:
