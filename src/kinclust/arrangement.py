@@ -17,7 +17,7 @@ from math import gcd
 from operator import and_
 from typing import Iterable, Literal
 
-from .geometry import TrajectorySet, _picked
+from .geometry import TrajectorySet, _picked, as_cluster
 
 HoleKind = Literal["bounded", "unbounded_left", "unbounded_right"]
 
@@ -180,8 +180,10 @@ def is_well_separated(S: TrajectorySet, clustering: Iterable[Iterable[int]]) -> 
     No cluster meets both sides of an uncovered hole, so each uncovered
     hole puts every cluster on one side, and two clusters are separated
     exactly when their tuples of sides over the uncovered holes differ.
+    Raises ``ValueError`` on a member that is not an index of ``S``.
     """
-    clusters = [C for C in map(frozenset, clustering) if C]
+    n = len(S)
+    clusters = [C for C in (as_cluster(C, n) for C in clustering) if C]
     if len(clusters) <= 1:
         return True
     uncovered = [h.left_set for h in compute_holes(S) if not is_covered(S, h, clusters)]
@@ -194,14 +196,26 @@ class SeparatorPoset:
 
     ``elements`` is sorted by (size, indices), so the empty set, the
     unique source, is ``elements[0]`` and the full index set, the unique
-    sink, is ``elements[-1]``.  ``succ[e]`` lists the strict supersets of
-    element e among the elements as element indices, in the same
-    canonical order.  ``successors`` maps each element to its strict
-    supersets as frozensets; it is built on first read.
+    sink, is ``elements[-1]``.  Of m elements, element j carries the flag
+    ``1 << (m - 1 - j)``, and ``above[e]`` is the int mask flagging the
+    strict supersets of element e among the elements.  Two posets are
+    equal when their elements and masks are.
+
+    ``succ[e]`` lists the same supersets as element indices, in the same
+    canonical order, and ``successors`` maps each element to its strict
+    supersets as frozensets.  Both are decoded from ``above`` on first
+    read, so a caller that never reads them never pays for the P index
+    entries of the comparable pairs.
     """
 
     elements: tuple[frozenset, ...]
-    succ: tuple[tuple[int, ...], ...]
+    above: tuple[int, ...]
+
+    @cached_property
+    def succ(self) -> tuple[tuple[int, ...], ...]:
+        # Decoding from one tuple shares its int objects between all the rows.
+        index = tuple(range(len(self.elements)))
+        return tuple(tuple(_picked(index, mask)) for mask in self.above)
 
     @cached_property
     def successors(self) -> dict[frozenset, tuple[frozenset, ...]]:
@@ -217,30 +231,41 @@ def build_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:
 
     Built afresh on every call and kept nowhere: the well-separated DP
     keeps what it needs of the instance's poset in its chain table.
+
+    Each side-set is an int mask in which index i carries the flag
+    ``1 << (n - 1 - i)``; a complement's frozenset is built only when its
+    mask is new.  Of two sets of one size, the one with the greater mask
+    has the lesser sorted indices, so sorting by (size, -mask) gives the
+    (size, indices) order.  The poset keeps, per element, the AND of the
+    masks of the elements holding each of its members, and decodes no
+    successor list.
     """
-    # Complements are frozen from a set, so that each frozenset's table is
-    # sized to its members rather than grown one member at a time.
-    full = set(range(len(S)))
-    sets = set()
+    n = len(S)
+    full = (1 << n) - 1
+    index_set = set(range(n))
+    flag = [1 << (n - 1 - i) for i in range(n)]
+    sides: dict[int, frozenset] = {}
     for h in holes:
-        sets.add(h.left_set)
-        sets.add(frozenset(full - h.left_set))
-    elements = tuple(sorted(sets, key=lambda c: (len(c), tuple(sorted(c)))))
-    # containing[i] flags the elements holding i; element e carries the flag
-    # 1 << (m - 1 - e) of m, so each is read from one base-2 numeral.
+        left = sum(map(flag.__getitem__, h.left_set))
+        right = full ^ left
+        if left not in sides:
+            sides[left] = h.left_set
+        if right not in sides:
+            # Frozen from a set, so that its table is sized to its members
+            # rather than grown one member at a time.
+            sides[right] = frozenset(index_set - h.left_set)
+    masks = sorted(sides, key=lambda mask: (mask.bit_count(), -mask))
+    elements = tuple(map(sides.__getitem__, masks))
+    # Digit e*n + i of the concatenated n-digit numerals flags index i in
+    # element e, so every n-th digit from i on is the base-2 numeral of
+    # containing[i], where element e carries the flag 1 << (m - 1 - e).
     m = len(elements)
-    numerals = [bytearray(b"0") * m for _ in range(len(S))]
-    for e, c in enumerate(elements):
-        for i in c:
-            numerals[i][e] = 49  # "1"
-    containing = [int(numeral, 2) for numeral in numerals]
+    digits = "".join([f"{mask:0{n}b}" for mask in masks])
+    containing = [int(digits[i::n], 2) for i in range(n)]
     # An element's strict supersets are the later elements holding all of
-    # its members: elements sort by size, so no earlier one can.  Decoding
-    # from one tuple shares its int objects between all the rows.
+    # its members: elements sort by size, so no earlier one can.
     holding = containing.__getitem__
-    index = tuple(range(m))
-    succ = tuple(
-        tuple(_picked(index, reduce(and_, map(holding, c), (1 << (m - 1 - e)) - 1)))
-        for e, c in enumerate(elements)
+    above = tuple(
+        reduce(and_, map(holding, c), (1 << (m - 1 - e)) - 1) for e, c in enumerate(elements)
     )
-    return SeparatorPoset(elements, succ)
+    return SeparatorPoset(elements, above)

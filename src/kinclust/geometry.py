@@ -329,8 +329,9 @@ class SpanKernel:
     arrangement's hole table once computed (see ``arrangement``), and
     ``chain_table`` the block areas and layers of the well-separated
     dynamic program (see ``sum_diameter.ChainTable``), which keep the
-    side-set poset's elements and index successors; the poset itself is
-    not kept.  The kernel lives and dies with its instance.
+    side-set poset's elements and its index successors, decoded from the
+    poset's masks when the table is built; the poset itself is not kept.
+    The kernel lives and dies with its instance.
     """
 
     __slots__ = (

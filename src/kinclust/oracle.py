@@ -321,14 +321,15 @@ def poset_by_inclusion(S: TrajectorySet, holes) -> SeparatorPoset:
     """The side-set poset by pairwise frozenset comparison, O(P^2).
 
     A referee for ``build_poset``: the distinct hole side-sets sorted by
-    (size, indices), each with the indices of its strict supersets in that
-    order.
+    (size, indices), each with the mask of its strict supersets, where
+    element j of m carries the flag ``1 << (m - 1 - j)``.
     """
     full = S.all_indices()
     sets = {h.left_set for h in holes} | {full - h.left_set for h in holes}
     elements = tuple(sorted(sets, key=lambda c: (len(c), tuple(sorted(c)))))
-    succ = tuple(tuple(j for j, b in enumerate(elements) if a < b) for a in elements)
-    return SeparatorPoset(elements, succ)
+    m = len(elements)
+    above = tuple(sum(1 << (m - 1 - j) for j, b in enumerate(elements) if a < b) for a in elements)
+    return SeparatorPoset(elements, above)
 
 
 def wellsep_dp_by_sets(S: TrajectorySet, k: int, objective: Objective) -> Solution:

@@ -252,11 +252,12 @@ class ChainTable:
 
     Element e is ``elements[e]`` of the instance's side-set poset, in the
     poset's canonical order, so the empty set is element 0 and the full
-    set the last one.  ``succ`` is the poset's own: ``succ[e]`` lists the
-    element indices of e's strict supersets, in canonical order.  Row e
-    holds the exact area of each block (superset minus element) as the
-    integers ``nums[e][i] / dens[e][i]``, read from the kernel by the XOR
-    of the two elements' masks.
+    set the last one.  ``succ`` is the poset's own, decoded from its masks
+    when the table reads it: ``succ[e]`` lists the element indices of e's
+    strict supersets, in canonical order.  Row e holds the exact area of
+    each block (superset minus element) as the integers
+    ``nums[e][i] / dens[e][i]``, read from the kernel by the XOR of the
+    two elements' masks.
 
     ``layers`` maps (objective, j) to DP layer j: the best value of a
     well-separated j-clustering of each element's complement, as reduced

@@ -167,9 +167,20 @@ SWEEP_FAMILIES = {
 def _assert_sweep_matches_referees(S):
     holes = compute_holes(S)
     assert holes == holes_slab(S)
-    poset = build_poset(S, holes)
     reference = poset_by_inclusion(S, holes)
-    assert poset.elements == reference.elements
+    # The poset depends on the holes' side-sets only, not on their order.
+    shuffled = list(holes)
+    random.Random(len(holes)).shuffle(shuffled)
+    for order in (holes, holes[::-1], tuple(shuffled)):
+        assert build_poset(S, order) == reference
+    assert build_poset(S, holes[:3]) == poset_by_inclusion(S, holes[:3])
+    # Each row's mask, read bit by bit, is the row of strict supersets by
+    # pairwise comparison, and so is the decoded ``succ``.
+    poset = build_poset(S, holes)
+    elements, m = reference.elements, len(reference)
+    rows = tuple(tuple(j for j, b in enumerate(elements) if a < b) for a in elements)
+    assert tuple(tuple(j for j in range(m) if mask >> (m - 1 - j) & 1) for mask in poset.above) == rows
+    assert poset.succ == rows
     assert poset.successors == reference.successors
 
 
@@ -196,6 +207,10 @@ class TestSweepMatchesReferees:
     @pytest.mark.parametrize("pairs", list(SWEEP_FAMILIES.values()), ids=list(SWEEP_FAMILIES))
     def test_degenerate_families(self, pairs):
         _assert_sweep_matches_referees(TrajectorySet.from_pairs(pairs))
+
+    def test_two_verticals_and_three_lines(self, two_verticals, three_lines):
+        _assert_sweep_matches_referees(two_verticals)
+        _assert_sweep_matches_referees(three_lines)
 
 
 class TestSidePredicates:
@@ -298,6 +313,12 @@ class TestWellSeparated:
 
     def test_quartet_pairing_is_not(self, quartet):
         assert not is_well_separated(quartet, [{0, 2}, {1, 3}])
+
+    @pytest.mark.parametrize("member", [99, -1, "a"])
+    def test_rejects_members_that_are_not_indices(self, member):
+        verticals = TrajectorySet.from_pairs([("0", "0"), ("1", "1"), ("2", "2")])
+        with pytest.raises(ValueError):
+            is_well_separated(verticals, [{0}, {member}])
 
     def test_matches_pairwise_definition(self):
         # Random clusterings, partitions or not, with empty, duplicate and

@@ -208,7 +208,9 @@ class TestIntMasks:
         kernel = S.kernel
         assert kernel.spans and all(type(key) is int for key in kernel.spans)
         poset = build_poset(S, compute_holes(S))
+        assert "succ" not in vars(poset)
         assert ChainTable(kernel, poset).succ is poset.succ
+        assert poset.succ is poset.succ
         assert "successors" not in vars(poset)
 
     @pytest.mark.parametrize("seed", [25310, 25311, 25312])
