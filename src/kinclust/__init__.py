@@ -5,8 +5,9 @@ cluster's diameter is the area of its span (the region between the
 cluster's pointwise min and max positions).  The package provides exact
 rational geometry for spans and arrangement holes, an exact solver and a
 well-separated dynamic program for the minimum-sum-of-diameters
-clustering, approximation algorithms for the minimum-maximum-diameter
-clustering, and brute-force oracles for verification at small sizes.
+clustering, and approximation algorithms for the minimum-maximum-diameter
+clustering.  The brute-force referees that check them at small sizes are
+not exported here; import them from ``kinclust.oracle``.
 """
 
 from .arrangement import (
@@ -21,10 +22,8 @@ from .arrangement import (
     side_partition,
 )
 from .geometry import (
-    Cluster,
     Clustering,
     Envelope,
-    Scalar,
     Solution,
     Trajectory,
     TrajectorySet,
@@ -53,14 +52,6 @@ from .max_diameter import (
     kcenter_gonzalez,
     md_value,
 )
-from .oracle import (
-    brute_opt_md,
-    brute_opt_sd,
-    brute_opt_wellsep,
-    enumerate_partitions,
-    numeric_diameter,
-    stirling2,
-)
 from .render import render_svg
 from .sum_diameter import (
     GoodSequence,
@@ -73,7 +64,6 @@ from .sum_diameter import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cluster",
     "Clustering",
     "CenterSet",
     "Envelope",
@@ -82,23 +72,18 @@ __all__ = [
     "GP_FACTOR",
     "Hole",
     "InstanceError",
-    "Scalar",
     "SeparatorPoset",
     "Solution",
     "Trajectory",
     "TrajectorySet",
     "as_cluster",
     "as_scalar",
-    "brute_opt_md",
-    "brute_opt_sd",
-    "brute_opt_wellsep",
     "bsearch",
     "build_poset",
     "canonical_key",
     "compute_holes",
     "diameter",
     "dumps_instance",
-    "enumerate_partitions",
     "envelope",
     "generate_instance",
     "gp",
@@ -109,7 +94,6 @@ __all__ = [
     "md_value",
     "md_wellsep_dp",
     "normalize_clustering",
-    "numeric_diameter",
     "pairwise_diameter",
     "parse_instance",
     "render_svg",
@@ -120,5 +104,4 @@ __all__ = [
     "sd_wellsep_dp",
     "separates",
     "side_partition",
-    "stirling2",
 ]

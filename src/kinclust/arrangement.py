@@ -229,6 +229,10 @@ class SeparatorPoset:
 def build_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:
     """Deduplicated side-sets of ``holes`` under strict inclusion.
 
+    The empty and the full index set are always elements, so the poset
+    has its source and sink even when ``holes`` omits the unbounded faces
+    (or is empty).
+
     Built afresh on every call and kept nowhere: the well-separated DP
     keeps what it needs of the instance's poset in its chain table.
 
@@ -254,6 +258,8 @@ def build_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:
             # Frozen from a set, so that its table is sized to its members
             # rather than grown one member at a time.
             sides[right] = frozenset(index_set - h.left_set)
+    sides.setdefault(0, frozenset())
+    sides.setdefault(full, frozenset(index_set))
     masks = sorted(sides, key=lambda mask: (mask.bit_count(), -mask))
     elements = tuple(map(sides.__getitem__, masks))
     # Digit e*n + i of the concatenated n-digit numerals flags index i in

@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Union
 if TYPE_CHECKING:
     from .sum_diameter import GoodSequence
 
-Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 Side = Literal["left", "right"]
 # "sd" is the sum of the cluster diameters, "md" the largest of them.
@@ -29,7 +28,6 @@ Objective = Literal["sd", "md"]
 
 # A cluster is a frozenset of trajectory indices; a clustering is a tuple of
 # pairwise-disjoint clusters covering all indices.
-Cluster = frozenset
 Clustering = tuple
 
 _ZERO = Fraction(0)

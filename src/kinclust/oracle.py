@@ -186,13 +186,8 @@ def bottom_leftmost_index(S: TrajectorySet, C) -> int:
     """
     cluster = as_cluster(C, len(S))
     if not cluster:
-        raise ValueError("bottom_leftmost of an empty cluster")
+        raise ValueError("bottom_leftmost_index of an empty cluster")
     return min(cluster, key=lambda i: S[i])
-
-
-def bottom_leftmost(S: TrajectorySet, C) -> Trajectory:
-    """Member with minimum position at t=0, ties broken by position at t=1."""
-    return S[bottom_leftmost_index(S, C)]
 
 
 def crossing_time(a: Trajectory, b: Trajectory) -> Fraction | None:
@@ -320,12 +315,13 @@ def holes_slab(S: TrajectorySet) -> tuple[Hole, ...]:
 def poset_by_inclusion(S: TrajectorySet, holes) -> SeparatorPoset:
     """The side-set poset by pairwise frozenset comparison, O(P^2).
 
-    A referee for ``build_poset``: the distinct hole side-sets sorted by
-    (size, indices), each with the mask of its strict supersets, where
-    element j of m carries the flag ``1 << (m - 1 - j)``.
+    A referee for ``build_poset``: the empty set, the full set and the
+    distinct hole side-sets, sorted by (size, indices), each with the mask
+    of its strict supersets, where element j of m carries the flag
+    ``1 << (m - 1 - j)``.
     """
     full = S.all_indices()
-    sets = {h.left_set for h in holes} | {full - h.left_set for h in holes}
+    sets = {frozenset(), full} | {h.left_set for h in holes} | {full - h.left_set for h in holes}
     elements = tuple(sorted(sets, key=lambda c: (len(c), tuple(sorted(c)))))
     m = len(elements)
     above = tuple(sum(1 << (m - 1 - j) for j, b in enumerate(elements) if a < b) for a in elements)

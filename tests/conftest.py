@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,18 @@ DEGENERATE_FAMILIES = {
         (Fraction(1, p), Fraction(i % 5 - 2) - Fraction(1, p)) for i, p in enumerate(PRIMES)
     ],
 }
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(args, **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports kinclust from this checkout's src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120, **kwargs
+    )
 
 
 def make_instance(seed: int, n: int, grid: int = 10) -> TrajectorySet:

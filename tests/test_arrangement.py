@@ -379,6 +379,16 @@ class TestSeparatorPoset:
             assert poset.elements[0] == frozenset()
             assert poset.elements[-1] == S.all_indices()
 
+    def test_source_sink_without_unbounded_faces(self, two_verticals):
+        # Neither input holds the unbounded faces, whose sides are the
+        # empty and the full set; the poset holds them all the same.
+        e, a, b, s = frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})
+        bounded = tuple(h for h in compute_holes(two_verticals) if h.kind == "bounded")
+        for holes, elements in (((), (e, s)), (bounded, (e, a, b, s))):
+            poset = build_poset(two_verticals, holes)
+            assert poset.elements == elements
+            assert poset == poset_by_inclusion(two_verticals, holes)
+
 
 class TestSixTrajectoryDag:
     """A six-trajectory instance with 14 faces whose 26 side-sets form a

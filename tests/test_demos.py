@@ -1,29 +1,16 @@
 """Every narrative script under demos/ runs to completion."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, run_python
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     # Demo 05 writes its SVG gallery into the directory it is given; every
     # demo runs in tmp_path so nothing lands in the checkout.
     args = [str(tmp_path / "out")] if demo.name.startswith("05_") else []
-    proc = subprocess.run(
-        [sys.executable, str(demo), *args],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_python([str(demo), *args], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -14,7 +14,7 @@ from kinclust import (
     normalize_clustering,
     pairwise_diameter,
 )
-from kinclust.oracle import bottom_leftmost, numeric_diameter
+from kinclust.oracle import bottom_leftmost_index, numeric_diameter
 
 from conftest import BALL_FACTOR, make_instance, random_trajectory
 
@@ -90,18 +90,18 @@ class TestPairwiseDiameter:
 class TestBottomLeftmost:
     def test_min_initial_position(self):
         S = TrajectorySet.from_pairs([("0", "5"), ("1", "0")])
-        assert bottom_leftmost(S, {0, 1}) == T("0", "5")
+        assert S[bottom_leftmost_index(S, {0, 1})] == T("0", "5")
 
     def test_tie_broken_by_final_position(self):
         S = TrajectorySet.from_pairs([("0", "5"), ("0", "1")])
-        assert bottom_leftmost(S, {0, 1}) == T("0", "1")
+        assert S[bottom_leftmost_index(S, {0, 1})] == T("0", "1")
 
     def test_quartet_leftmost(self, quartet):
-        assert bottom_leftmost(quartet, quartet.all_indices()) == quartet[0]
+        assert bottom_leftmost_index(quartet, quartet.all_indices()) == 0
 
     def test_empty_cluster_rejected(self, quartet):
         with pytest.raises(ValueError):
-            bottom_leftmost(quartet, frozenset())
+            bottom_leftmost_index(quartet, frozenset())
 
 
 class TestAsScalar:
@@ -154,6 +154,16 @@ class TestEnvelope:
     def test_empty_cluster_rejected(self, quartet):
         with pytest.raises(ValueError):
             envelope(quartet, frozenset(), "left")
+
+    def test_unknown_side_rejected(self, quartet):
+        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+            envelope(quartet, {0, 1}, "up")
+
+    def test_value_rejects_time_outside_strip(self, quartet):
+        env = envelope(quartet, quartet.all_indices(), "right")
+        for t in (Fraction(3, 2), Fraction(-1, 10)):
+            with pytest.raises(ValueError, match="outside"):
+                env.value(t)
 
     def test_pointwise_equals_direct_min_max(self):
         rng = random.Random(23)

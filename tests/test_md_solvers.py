@@ -1,7 +1,9 @@
 """Greedy partition, binary search, and k-center against the referee."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -11,16 +13,29 @@ from kinclust import (
     gp,
     kcenter_gonzalez,
     md_value,
+    normalize_clustering,
     pairwise_diameter,
 )
-from kinclust.oracle import bottom_leftmost, brute_opt_md
+from kinclust.oracle import bottom_leftmost_index, brute_opt_md
 
-from conftest import GP_BOUND, KCENTER_BOUND, make_instance
+from conftest import (
+    GP_BOUND,
+    KCENTER_BOUND,
+    make_instance,
+    mirrored,
+    permuted,
+    scaled,
+    time_reversed,
+    translated,
+)
+
+
+def pair_areas(S):
+    return [pairwise_diameter(S[i], S[j]) for i, j in combinations(range(len(S)), 2)]
 
 
 def min_pairwise(S):
-    n = len(S)
-    return min(pairwise_diameter(S[i], S[j]) for i in range(n) for j in range(i + 1, n))
+    return min(pair_areas(S))
 
 
 def gp_by_definition(S, D):
@@ -204,7 +219,7 @@ class TestKcenter:
     def test_k_equals_one(self):
         S = make_instance(89, 6)
         centers, clustering = kcenter_gonzalez(S, 1)
-        assert S[centers.centers[0]] == bottom_leftmost(S, S.all_indices())
+        assert centers.centers[0] == bottom_leftmost_index(S, S.all_indices())
         assert clustering == (frozenset(range(6)),)
 
     @pytest.mark.parametrize("n", [6, 24, 48])
@@ -249,3 +264,90 @@ class TestKcenter:
                     continue
                 _, clustering = kcenter_gonzalez(S, k)
                 assert md_value(S, clustering) <= KCENTER_BOUND * brute_opt_md(S, k).value
+
+
+def pairs_of(S):
+    return [(s.x0, s.x1) for s in S]
+
+
+EQUIVARIANCE_CASES = [(21000 + i, n, k) for i, (n, k) in enumerate([(8, 2), (12, 3), (16, 4), (24, 5)])]
+
+# Maps that keep the bottom-leftmost order, each with the factor a > 0 it
+# applies to every pairwise span area.
+ORDER_KEEPING_MAPS = {
+    "translation": (lambda p: translated(p, Fraction(-37, 3), Fraction(-37, 3)), 1),
+    "drift": (lambda p: translated(p, Fraction(-37, 3), Fraction(5, 7)), 1),
+    "scaling": (lambda p: scaled(p, Fraction(3, 2)), Fraction(3, 2)),
+}
+
+# Maps that keep every span area up to |a| but change the bottom-leftmost
+# order, so the solvers' outputs may change.
+ORDER_CHANGING_MAPS = {
+    "mirror": mirrored,
+    "time-reversal": time_reversed,
+    "negative-scaling": lambda p: scaled(p, Fraction(-5, 3)),
+}
+
+
+class TestEquivariance:
+    """gp, bsearch and kcenter_gonzalez under maps of the instance.
+
+    Translation, common drift and scaling by a > 0 keep the order gp and
+    k-center seed from and multiply every pairwise area by a, so the
+    clusters stay and bsearch's certificate scales by a.  An index
+    permutation relabels gp and bsearch exactly, and k-center when no two
+    pairwise areas tie (its ties go to the lowest index).  Under the other
+    maps only bsearch's approximation bound is checked.
+    """
+
+    @pytest.mark.parametrize("name", sorted(ORDER_KEEPING_MAPS))
+    @pytest.mark.parametrize("seed,n,k", EQUIVARIANCE_CASES)
+    def test_order_keeping_maps(self, name, seed, n, k):
+        move, a = ORDER_KEEPING_MAPS[name]
+        S = make_instance(seed, n)
+        T = move(pairs_of(S))
+        for D in sorted(set(pair_areas(S))):
+            assert gp(T, a * D) == gp(S, D)
+        sol = bsearch(S, k)
+        lo, hi = sol.interval
+        assert bsearch(T, k) == replace(
+            sol, value=a * sol.value, interval=(a * lo, a * hi), delta=a * sol.delta
+        )
+        assert kcenter_gonzalez(T, k) == kcenter_gonzalez(S, k)
+
+    @pytest.mark.parametrize("seed,n,k", EQUIVARIANCE_CASES)
+    def test_index_permutation(self, seed, n, k):
+        S = make_instance(seed, n)
+        perm = list(range(n))
+        random.Random(seed).shuffle(perm)
+        T, new = permuted(S, perm)
+
+        def relabel(C):
+            return frozenset(new[i] for i in C)
+
+        for D in sorted(set(pair_areas(S))):
+            assert gp(T, D) == tuple(map(relabel, gp(S, D)))
+        sol = bsearch(S, k)
+        assert bsearch(T, k) == replace(sol, clustering=normalize_clustering(map(relabel, sol.clustering)))
+
+    @pytest.mark.parametrize("seed,n,k", EQUIVARIANCE_CASES)
+    def test_kcenter_index_permutation_without_ties(self, seed, n, k):
+        # A fine grid, so that no two pairwise areas tie.
+        S = make_instance(seed, n, grid=1000)
+        areas = pair_areas(S)
+        assert len(set(areas)) == len(areas)
+        perm = list(range(n))
+        random.Random(seed).shuffle(perm)
+        T, new = permuted(S, perm)
+        centers, clustering = kcenter_gonzalez(S, k)
+        moved_centers, moved_clustering = kcenter_gonzalez(T, k)
+        assert moved_centers.centers == tuple(new[c] for c in centers.centers)
+        assert moved_clustering == normalize_clustering({new[i] for i in C} for C in clustering)
+
+    @pytest.mark.parametrize("name", sorted(ORDER_CHANGING_MAPS))
+    def test_bsearch_bound_under_order_changing_maps(self, name):
+        eps = Fraction(1, 20)
+        for trial in range(12):
+            n, k = 7 + trial % 3, 2 + trial % 2
+            T = ORDER_CHANGING_MAPS[name](pairs_of(make_instance(21100 + trial, n)))
+            assert bsearch(T, k, eps).value <= (GP_BOUND + eps) * brute_opt_md(T, k).value

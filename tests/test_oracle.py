@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import kinclust
 from kinclust import (
     TrajectorySet,
     canonical_key,
@@ -25,7 +26,32 @@ from kinclust.oracle import (
     wellsep_dp_by_sets,
 )
 
-from conftest import make_instance
+from conftest import make_instance, run_python
+
+REFEREES = (
+    "brute_opt_md",
+    "brute_opt_sd",
+    "brute_opt_wellsep",
+    "enumerate_partitions",
+    "numeric_diameter",
+    "stirling2",
+)
+
+
+class TestPackageSurface:
+    """The package top level exports the library; each referee has one
+    name, in ``kinclust.oracle``."""
+
+    def test_import_leaves_the_oracle_unloaded(self):
+        proc = run_python(["-c", "import sys, kinclust; print('kinclust.oracle' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == "False\n"
+
+    def test_referees_only_in_the_oracle(self):
+        for name in REFEREES:
+            assert callable(getattr(kinclust.oracle, name))
+            assert not hasattr(kinclust, name)
+        assert all(hasattr(kinclust, name) for name in kinclust.__all__)
 
 
 class TestEnumeratePartitions:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from kinclust import (
+    GoodSequence,
     TrajectorySet,
     compute_holes,
     diameter,
@@ -31,6 +32,7 @@ from conftest import (
     make_instance,
     mirrored,
     permuted,
+    run_python,
     scaled,
     time_reversed,
     translated,
@@ -101,6 +103,34 @@ class TestExactSolver:
             sol = sd_exact_goodseq(S, 3)
             assert sol.sequence is not None
             assert sol.sequence.replay(S) == sol.clustering
+
+    def test_replay_rejects_a_split_of_a_cluster_not_current(self):
+        S = make_instance(2100, 6)
+        first = sd_exact_goodseq(S, 3).sequence.steps[0]
+        # After the first split the full set is no longer a cluster.
+        with pytest.raises(ValueError, match="not a current cluster"):
+            GoodSequence((first, first)).replay(S)
+
+    def test_replay_rejects_a_hole_outside_the_span(self, three_lines):
+        outside = next(h for h in compute_holes(three_lines) if h.kind == "unbounded_left")
+        with pytest.raises(ValueError, match="is not inside the span"):
+            GoodSequence(((outside, three_lines.all_indices()),)).replay(three_lines)
+
+    def test_deep_split_tree_needs_no_recursion(self):
+        # 28 parallel lines at k=28 give a split tree 27 levels deep; the
+        # solver walks it on an explicit stack.  A fresh interpreter keeps
+        # pytest's own frames out from under the low limit.
+        code = (
+            "import sys\n"
+            "from kinclust import TrajectorySet, sd_exact_goodseq\n"
+            "S = TrajectorySet.from_pairs([(i, i) for i in range(28)])\n"
+            "sys.setrecursionlimit(40)\n"
+            "sol = sd_exact_goodseq(S, 28)\n"
+            "print(sol.value, len(sol.clustering))\n"
+        )
+        proc = run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == "0 28\n"
 
     def test_certificate_names_the_first_hole_of_each_split(self):
         S = make_instance(2200, 9)
