@@ -23,17 +23,15 @@ from .instances import (
     scalar_decimal,
 )
 from .max_diameter import bsearch, gp, kcenter_gonzalez, md_value
-from .oracle import brute_opt_md, brute_opt_sd
 from .render import render_svg
 from .sum_diameter import md_wellsep_dp, sd_exact_goodseq, sd_wellsep_dp
 
-# The solvers of (command, solver) that take (S, k) and return a Solution.
+# The library solvers of (command, solver) that take (S, k) and return a
+# Solution; the brute-force referees are imported only when asked for.
 _SOLVERS = {
     ("sd", "exact"): sd_exact_goodseq,
     ("sd", "wellsep"): sd_wellsep_dp,
-    ("sd", "brute"): brute_opt_sd,
     ("md", "wellsep"): md_wellsep_dp,
-    ("md", "brute"): brute_opt_md,
 }
 _OBJECTIVE_NAMES = {"sd": "sum of diameters", "md": "max diameter"}
 
@@ -80,6 +78,10 @@ def _cmd_solve(args) -> int:
     else:
         if args.solver == "bsearch":
             sol = bsearch(S, args.k, args.eps)
+        elif args.solver == "brute":
+            from .oracle import brute_opt_md, brute_opt_sd
+
+            sol = (brute_opt_sd if args.command == "sd" else brute_opt_md)(S, args.k)
         else:
             sol = _SOLVERS[args.command, args.solver](S, args.k)
         clustering, value = sol.clustering, sol.value

@@ -252,7 +252,8 @@ def _upper_chain(lines: list[tuple[int, int]]) -> list[tuple[int, int]]:
     between 0 and 1.
     """
     chain: list[tuple[int, int]] = []
-    for v, a in lines:
+    for line in lines:
+        v, a = line
         if chain and chain[-1][0] == v:
             chain.pop()  # parallel and lower
         while len(chain) >= 2:
@@ -262,7 +263,7 @@ def _upper_chain(lines: list[tuple[int, int]]) -> list[tuple[int, int]]:
             if (a1 - a2) * (v - v2) < (a2 - a) * (v2 - v1):
                 break
             chain.pop()
-        chain.append((v, a))
+        chain.append(line)
     # Breakpoint j is at t = (a_j - a_j+1) / (v_j+1 - v_j), increasing in j.
     lo, hi = 0, len(chain)
     while lo + 1 < hi and chain[lo][1] <= chain[lo + 1][1]:  # at t <= 0
@@ -290,6 +291,30 @@ def _picked(items, mask: int):
 def _mirrored(lines: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """The lines of x -> -x, again sorted by slope, then intercept."""
     return [(-v, -a) for v, a in reversed(lines)]
+
+
+def _chains_area(upper: list, lower: list, den: int) -> Fraction:
+    """Span area of members from their two clipped chains, as a Fraction.
+
+    ``upper`` is ``_upper_chain`` of the members' lines and ``lower`` that
+    of their mirrored lines, the lines being over the denominator ``den``.
+    For a convex chain with breakpoints between lines (v1, a1) and
+    (v2, a2), integrating piece by piece and summing by parts gives F(1)
+    plus (a1 - a2)^2 / (2 (v2 - v1)) per breakpoint, where F is the
+    antiderivative a*t + v*t^2/2 of the line carrying t = 1.  The span
+    area is the integral of the upper chain plus that of the mirrored one.
+    """
+    ends = 0  # 2 F(1) of both chains, in units of 1/den
+    num, d = 0, 1  # sum of (a1 - a2)^2 / (v2 - v1) over the breakpoints
+    for chain in (upper, lower):
+        v, a = chain[-1]
+        ends += 2 * a + v
+        for (v1, a1), (v2, a2) in zip(chain, chain[1:]):
+            dv, da = v2 - v1, a1 - a2
+            g = math.gcd(d, dv)
+            num = num * (dv // g) + da * da * (d // g)
+            d = d // g * dv
+    return Fraction(ends * d + num, 2 * den * d)
 
 
 def _pair_terms(d0, d1):
@@ -371,31 +396,17 @@ class SpanKernel:
     def span_area(self, mask: int) -> Fraction:
         """Span area of the members flagged in ``mask``, memoized by mask.
 
-        Zero below two members.
-
-        For a convex chain with breakpoints between lines (v1, a1) and
-        (v2, a2), integrating piece by piece and summing by parts gives
-        F(1) plus (a1 - a2)^2 / (2 (v2 - v1)) per breakpoint, where F is
-        the antiderivative a*t + v*t^2/2 of the line carrying t = 1.  The
-        span area is the integral of the upper chain of the lines plus that
-        of the upper chain of the mirrored lines, all over den.
+        Zero below two members.  The area is that of the members' upper
+        chain and the upper chain of their mirrored lines (see
+        ``_chains_area``).
         """
         if not mask & (mask - 1):
             return _ZERO
         area = self.spans.get(mask)
         if area is None:
-            ends = 0  # 2 F(1) of both chains, in units of 1/den
-            num, den = 0, 1  # sum of (a1 - a2)^2 / (v2 - v1) over the breakpoints
             ordered = list(_picked(self.lines, mask))
-            for chain in (_upper_chain(ordered), _upper_chain(_mirrored(ordered))):
-                v, a = chain[-1]
-                ends += 2 * a + v
-                for (v1, a1), (v2, a2) in zip(chain, chain[1:]):
-                    dv, da = v2 - v1, a1 - a2
-                    g = math.gcd(den, dv)
-                    num = num * (dv // g) + da * da * (den // g)
-                    den = den // g * dv
-            area = self.spans[mask] = Fraction(ends * den + num, 2 * self.den * den)
+            upper, lower = _upper_chain(ordered), _upper_chain(_mirrored(ordered))
+            area = self.spans[mask] = _chains_area(upper, lower, self.den)
         return area
 
     def pair_row(self, i: int) -> tuple[Fraction, ...]:

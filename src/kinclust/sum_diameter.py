@@ -33,6 +33,11 @@ from .geometry import (
     Solution,
     SpanKernel,
     TrajectorySet,
+    _ZERO,
+    _chains_area,
+    _mirrored,
+    _picked,
+    _upper_chain,
     check_k,
     diameter,
     normalize_clustering,
@@ -78,6 +83,14 @@ class GoodSequence:
 # k=4 (seed 1) takes about 7.4 million units, 48 parallel lines at k=48
 # about 6.6 million; past the cap the call raises ValueError.
 MAX_SPLIT_WORK = 20_000_000
+
+# Most comparable pairs P of side-sets, one block area each, that a new
+# chain table may hold; past the cap it raises ValueError before computing
+# any area.  A cold table costs about 8 microseconds and 120 bytes of peak
+# RSS per pair on CPython 3.11.7.  Seed-1 instances: P is 1.1 million at
+# n=96 (8-10 s, +133 MB), 3.2 million at n=128 (25 s, +408 MB) and 14.7
+# million at n=192, which the cap refuses.
+MAX_CHAIN_PAIRS = 4_000_000
 
 
 def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
@@ -256,8 +269,25 @@ class ChainTable:
     when the table reads it: ``succ[e]`` lists the element indices of e's
     strict supersets, in canonical order.  Row e holds the exact area of
     each block (superset minus element) as the integers
-    ``nums[e][i] / dens[e][i]``, read from the kernel by the XOR of the
-    two elements' masks.
+    ``nums[e][i] / dens[e][i]``; a block is the XOR of the two elements'
+    masks in the kernel's encoding.
+
+    A block's area is read from the kernel's span memo when the memo has
+    it.  Otherwise it is computed from the block's two clipped chains (see
+    ``geometry._upper_chain``) and written into the memo; a block of one
+    member has one-line chains and, as in ``span_area``, area 0.  The
+    chains are inherited.  The parent of the block of superset s is the
+    block of a superset of e one member smaller than s, and the block's
+    chains are the parent's with the missing member's line added, run
+    through ``_upper_chain`` again.  That is exact: a line not on the
+    parent's chain never carries the maximum inside (0, 1), and adding a
+    line cannot change that.  A block with no such parent, or whose
+    parents were all read from the memo and so have no chains, starts
+    from all of its lines.
+    The chains are transient: while row e is filled, only those of the
+    supersets of the current size and of one member fewer are kept.
+    Building a table raises ValueError, before computing any area, when
+    the poset has more than MAX_CHAIN_PAIRS comparable pairs.
 
     ``layers`` maps (objective, j) to DP layer j: the best value of a
     well-separated j-clustering of each element's complement, as reduced
@@ -271,13 +301,68 @@ class ChainTable:
     __slots__ = ("elements", "succ", "nums", "dens", "layers")
 
     def __init__(self, kernel: SpanKernel, poset: SeparatorPoset) -> None:
-        span_area = kernel.span_area
+        pairs = sum(mask.bit_count() for mask in poset.above)
+        if pairs > MAX_CHAIN_PAIRS:
+            raise ValueError(
+                f"well-separated DP: the chain table needs {pairs} block areas, more than "
+                f"MAX_CHAIN_PAIRS = {MAX_CHAIN_PAIRS}"
+            )
+        lines, spans = kernel.lines, kernel.spans
+        n = len(lines)
         masks = list(map(kernel.mask, poset.elements))
+        mirrors = [(-v, -a) for v, a in lines]
+        index = {mask: e for e, mask in enumerate(masks)}
+        # below[s]: (element, rank) for each element one member smaller than
+        # element s and inside it, with the slope rank of the missing member.
+        below = []
+        for mask in masks:
+            found, rest = [], mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                p = index.get(mask ^ bit)
+                if p is not None:
+                    found.append((p, n - bit.bit_length()))
+            below.append(tuple(found))
+        del index
+        sizes = list(map(len, poset.elements))
+        get = spans.get
         nums, dens = [], []
-        for C, sups in zip(masks, poset.succ):
-            areas = [span_area(masks[s] ^ C) for s in sups]
-            nums.append(tuple([a.numerator for a in areas]))
-            dens.append(tuple([a.denominator for a in areas]))
+        for e, (C, sups) in enumerate(zip(masks, poset.succ)):
+            # The clipped chains of e's blocks by superset: ``chains`` for the
+            # supersets of the current size, ``smaller`` for those one member
+            # smaller, the only possible parents.  Every superset from here on
+            # comes after e, so below[e] is read no more.
+            size, smaller, chains = sizes[e], {}, {}
+            below[e] = None
+            areas = []
+            for s in sups:
+                if sizes[s] != size:
+                    smaller = chains if sizes[s] == size + 1 else {}
+                    size, chains = sizes[s], {}
+                D = masks[s] ^ C
+                if not D & (D - 1):
+                    # One member: one-line chains and, as in span_area, area 0.
+                    r = n - D.bit_length()
+                    chains[s] = ((lines[r],), (mirrors[r],))
+                    areas.append(_ZERO)
+                    continue
+                area = get(D)
+                if area is None:
+                    for p, r in below[s]:
+                        parent = smaller.get(p)
+                        if parent is not None:
+                            upper = _upper_chain(sorted((*parent[0], lines[r])))
+                            lower = _upper_chain(sorted((*parent[1], mirrors[r])))
+                            break
+                    else:
+                        ordered = list(_picked(lines, D))
+                        upper, lower = _upper_chain(ordered), _upper_chain(_mirrored(ordered))
+                    chains[s] = (upper, lower)
+                    area = spans[D] = _chains_area(upper, lower, kernel.den)
+                areas.append(area)
+            nums.append(tuple([area.numerator for area in areas]))
+            dens.append(tuple([area.denominator for area in areas]))
         self.elements, self.succ = poset.elements, poset.succ
         self.nums, self.dens = nums, dens
         # Layer 1 is the single block from an element to the full set, the

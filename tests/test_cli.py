@@ -9,6 +9,8 @@ import pytest
 
 from kinclust.cli import main
 
+from conftest import run_python
+
 TWO_VERTICALS = '{"trajectories":[{"x0":"0","x1":"0"},{"x0":"1","x1":"1"}]}\n'
 QUARTET = json.dumps(
     {
@@ -110,6 +112,43 @@ class TestSd:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "MAX_SPLIT_WORK = 3" in captured.err
+
+    def test_wellsep_work_guard(self, nested_file, capsys, monkeypatch):
+        from kinclust import sum_diameter
+
+        monkeypatch.setattr(sum_diameter, "MAX_CHAIN_PAIRS", 3)
+        assert main(["sd", "wellsep", nested_file, "-k", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "MAX_CHAIN_PAIRS = 3" in captured.err
+
+
+class TestLazyReferees:
+    """Only ``sd brute`` and ``md brute`` load ``kinclust.oracle``."""
+
+    LOADED = "import sys; print('kinclust.oracle' in sys.modules)"
+
+    def test_import_leaves_the_oracle_unloaded(self):
+        proc = run_python(["-c", f"import kinclust.cli; {self.LOADED}"])
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize(
+        "argv,loaded",
+        [
+            (["sd", "wellsep", "{file}", "-k", "2"], False),
+            (["sd", "exact", "{file}", "-k", "2"], False),
+            (["md", "bsearch", "{file}", "-k", "2"], False),
+            (["sd", "brute", "{file}", "-k", "2"], True),
+            (["md", "brute", "{file}", "-k", "2"], True),
+        ],
+    )
+    def test_only_brute_loads_the_oracle(self, nested_file, argv, loaded):
+        argv = [a.format(file=nested_file) for a in argv]
+        code = f"from kinclust.cli import main; assert main({argv!r}) == 0; {self.LOADED}"
+        proc = run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == str(loaded)
 
 
 class TestMd:

@@ -233,6 +233,66 @@ class TestIntMasks:
                 assert first == bottom_leftmost_index(S, C)
 
 
+class TestChainTableMatchesSpanArea:
+    """Every chain-table entry against ``span_area`` on a fresh kernel.
+
+    The table inherits each block's chains from a block one member
+    smaller; the referee is an equal instance whose kernel computes each
+    block's area from all of its lines and shares no memo with the table.
+    """
+
+    @staticmethod
+    def check(make, warm=False):
+        S, R = make(), make()
+        if warm:
+            # Blocks the memo already holds give the table no chains, so
+            # their supersets must find another parent or start afresh.
+            poset = build_poset(S, compute_holes(S))
+            masks = [S.kernel.mask(element) for element in poset.elements]
+            blocks = sorted({masks[s] ^ C for C, sups in zip(masks, poset.succ) for s in sups})
+            for D in random.Random(len(S)).sample(blocks, len(blocks) // 2):
+                S.kernel.span_area(D)
+        sd_wellsep_dp(S, 1)
+        table, kernel = S.kernel.chain_table, R.kernel
+        masks = [kernel.mask(element) for element in table.elements]
+        for C, sups, nums, dens in zip(masks, table.succ, table.nums, table.dens):
+            assert len(sups) == len(nums) == len(dens)
+            for s, num, den in zip(sups, nums, dens):
+                area = kernel.span_area(masks[s] ^ C)
+                assert (num, den) == (area.numerator, area.denominator)
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 48])
+    def test_generated(self, n):
+        self.check(lambda: make_instance(25500 + n, n))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_generated_on_a_warm_memo(self, n):
+        self.check(lambda: make_instance(25600 + n, n), warm=True)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            pytest.param(DEGENERATE_FAMILIES[name], id=name)
+            for name in (
+                "pencil-mid", "pencil-off-grid", "pencil-at-0", "pencil-at-1",
+                "pencils-at-both-edges", "all-parallel", "parallel-mixed", "single",
+            )
+        ]
+        + [
+            # three slopes, four parallel lines each
+            pytest.param([(i, i + d) for d in (-3, 0, 2) for i in range(4)], id="repeated-slopes"),
+            # two pencils sharing their middle line
+            pytest.param([(i, -i) for i in range(-2, 3)] + [(i, 2 * i) for i in (-2, -1, 1, 2)],
+                         id="two-pencils"),
+            pytest.param([(0, 1), (1, 0)], id="two-crossing"),
+            pytest.param([(0, 0), (1, 1)], id="two-parallel"),
+        ],
+    )
+    def test_degenerate_families(self, pairs):
+        self.check(lambda: TrajectorySet.from_pairs(pairs))
+        self.check(lambda: TrajectorySet.from_pairs(pairs), warm=True)
+
+
 # --- metamorphic properties ---------------------------------------------
 
 _COORD = st.fractions(min_value=-20, max_value=20, max_denominator=12)

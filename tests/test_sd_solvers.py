@@ -9,6 +9,7 @@ import pytest
 from kinclust import (
     GoodSequence,
     TrajectorySet,
+    build_poset,
     compute_holes,
     diameter,
     is_well_separated,
@@ -215,6 +216,37 @@ class TestExactSolverWorkGuard:
         monkeypatch.setattr(sum_diameter, "MAX_SPLIT_WORK", 0)
         S = make_instance(4701, 8)
         assert sd_exact_goodseq(S, 1).value == diameter(S, S.all_indices())
+
+
+class TestWellSeparatedDpWorkGuard:
+    @staticmethod
+    def pairs(S):
+        """P: the comparable pairs of the instance's side-set poset."""
+        return sum(mask.bit_count() for mask in build_poset(S, compute_holes(S)).above)
+
+    def test_raises_past_the_cap_before_any_area(self, monkeypatch):
+        S = make_instance(4710, 10)
+        monkeypatch.setattr(sum_diameter, "MAX_CHAIN_PAIRS", self.pairs(S) - 1)
+        for solve in WELLSEP_DP.values():
+            with pytest.raises(ValueError, match=f"MAX_CHAIN_PAIRS = {self.pairs(S) - 1}"):
+                solve(S, 3)
+        assert S.kernel.chain_table is None
+        assert not S.kernel.spans
+
+    def test_cap_admits_exactly_p_pairs(self, monkeypatch):
+        S = make_instance(4710, 10)
+        monkeypatch.setattr(sum_diameter, "MAX_CHAIN_PAIRS", self.pairs(S))
+        assert sd_wellsep_dp(S, 3) == sd_wellsep_dp(make_instance(4710, 10), 3)
+
+    def test_warm_table_still_answers(self, monkeypatch):
+        S = make_instance(4711, 10)
+        sd_wellsep_dp(S, 2)
+        monkeypatch.setattr(sum_diameter, "MAX_CHAIN_PAIRS", 0)
+        for objective, solve in WELLSEP_DP.items():
+            for k in (2, 4):
+                assert solve(S, k) == wellsep_dp_by_sets(make_instance(4711, 10), k, objective)
+        with pytest.raises(ValueError, match="MAX_CHAIN_PAIRS = 0"):
+            sd_wellsep_dp(make_instance(4711, 10), 2)
 
 
 # (solver, its objective's value, id prefix) over (seed, n, k); the exact
