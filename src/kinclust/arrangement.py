@@ -24,6 +24,15 @@ HoleKind = Literal["bounded", "unbounded_left", "unbounded_right"]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Most left-set members the hole table may hold, bounded as (n + 1 +
+# crossings) * n while the sweep counts the crossings in (0, 1); past the
+# cap ``compute_holes`` raises ValueError before it builds any hole.  A
+# table costs about 25 bytes of peak RSS per unit of that bound on CPython
+# 3.11.7.  Seed-1 instances: the bound is 0.27 million at n=128, 16.2
+# million at n=512 (1.6 s, +351 MB) and 55 million at n=768, which the cap
+# refuses.
+MAX_HOLE_MEMBERS = 20_000_000
+
 
 @dataclass(frozen=True)
 class Hole:
@@ -59,7 +68,9 @@ def compute_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     interval, so no face ever re-opens and each is emitted exactly once
     with its full time extent.  Crossing times come from the kernel's
     integer lines; prefixes are the kernel's int masks, each turned into a
-    frozenset once, when its hole is emitted.
+    frozenset once, when its hole is emitted.  Raises ValueError, before
+    building any hole, when the table may hold more than MAX_HOLE_MEMBERS
+    left-set members.
     """
     kernel = S.kernel
     if kernel.holes is None:
@@ -74,35 +85,46 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     kernel = S.kernel
     lines = kernel.lines
 
-    # Lines r < s (slope order) cross at t = (a_r - a_s) / (v_s - v_r);
+    # Lines i before j in slope order cross at t = (a_i - a_j) / (v_j - v_i);
     # group the crossings strictly inside (0, 1) by their reduced time.
+    # Each crossing pair opens at most one face, and a face's left set
+    # holds at most n members, which bounds the hole table's size.
+    most = MAX_HOLE_MEMBERS // n - n - 1
+    pairs = 0
+    by_slope = sorted(range(n), key=lines.__getitem__)
     crossing: dict[tuple[int, int], set[int]] = {}
-    for r in range(n):
-        v1, a1 = lines[r]
-        for s in range(r + 1, n):
-            v2, a2 = lines[s]
+    for r, i in enumerate(by_slope):
+        v1, a1 = lines[i]
+        for j in by_slope[r + 1:]:
+            v2, a2 = lines[j]
             da, dv = a1 - a2, v2 - v1
             if 0 < da < dv:
+                pairs += 1
                 g = gcd(da, dv)
-                crossing.setdefault((da // g, dv // g), set()).update((r, s))
+                crossing.setdefault((da // g, dv // g), set()).update((i, j))
+        if pairs > most:
+            raise ValueError(
+                f"compute_holes: the hole table may hold more than "
+                f"MAX_HOLE_MEMBERS = {MAX_HOLE_MEMBERS} left-set members"
+            )
     # Correctly rounded division is monotone, so the float decides the
     # order and the exact time only breaks ties between equal floats.
     events = sorted((p / q, Fraction(p, q), p, q) for p, q in crossing)
 
     # Left-to-right order just after t=0, by position at 0, then slope.
-    order = [kernel.rank[i] for i in kernel.leftmost]
+    order = list(kernel.leftmost)
     place = [0] * n
-    for k, r in enumerate(order):
-        place[r] = k
-    bit = [kernel.bits[i] for i in kernel.order]  # line r's flag in the kernel's masks
+    for k, i in enumerate(order):
+        place[i] = k
+    bit = kernel.bits
 
     # faces[slot] = [left mask, t_lo, t_hi]; open_slot[size] is the slot of
     # the face whose left set is the current prefix of that size.  Faces
     # open in (t_lo, size) order, so they need no sort.
     prefix = 0
     faces = [[0, _ZERO, None]]
-    for r in order:
-        prefix |= bit[r]
+    for i in order:
+        prefix |= bit[i]
         faces.append([prefix, _ZERO, None])
     open_slot = list(range(n + 1))
     seen = {face[0] for face in faces}
@@ -110,8 +132,8 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     for _, t, p, q in events:
         # Lines through one crossing point are adjacent in the order and
         # share their position at t, the integer a*q + v*p over den*q.
-        ranks = sorted(crossing[p, q], key=place.__getitem__)
-        for _, pencil in groupby(ranks, key=lambda r: lines[r][1] * q + lines[r][0] * p):
+        members = sorted(crossing[p, q], key=place.__getitem__)
+        for _, pencil in groupby(members, key=lambda i: lines[i][1] * q + lines[i][0] * p):
             pencil = list(pencil)
             lo, hi = place[pencil[0]], place[pencil[-1]]
             order[lo:hi + 1] = reversed(order[lo:hi + 1])
@@ -194,27 +216,35 @@ def is_well_separated(S: TrajectorySet, clustering: Iterable[Iterable[int]]) -> 
 class SeparatorPoset:
     """The distinct hole side-sets, ordered by strict inclusion.
 
-    ``elements`` is sorted by (size, indices), so the empty set, the
-    unique source, is ``elements[0]`` and the full index set, the unique
-    sink, is ``elements[-1]``.  Of m elements, element j carries the flag
-    ``1 << (m - 1 - j)``, and ``above[e]`` is the int mask flagging the
-    strict supersets of element e among the elements.  Two posets are
-    equal when their elements and masks are.
+    ``masks`` holds the side-sets as the kernel's int masks (member i
+    carries the flag ``1 << (n - 1 - i)``), sorted by (size, indices), so
+    the empty set, the unique source, is ``masks[0]`` and the full index
+    set, the unique sink, is ``masks[-1]``.  Of m elements, element j
+    carries the flag ``1 << (m - 1 - j)``, and ``above[e]`` is the int
+    mask flagging the strict supersets of element e among the elements.
+    Two posets are equal when their masks and ``above`` are.
 
-    ``succ[e]`` lists the same supersets as element indices, in the same
-    canonical order, and ``successors`` maps each element to its strict
-    supersets as frozensets.  Both are decoded from ``above`` on first
-    read, so a caller that never reads them never pays for the P index
-    entries of the comparable pairs.
+    ``elements`` holds the side-sets as frozensets of indices, ``succ[e]``
+    lists the strict supersets of element e as element indices, in the
+    same canonical order, and ``successors`` maps each element to its
+    strict supersets as frozensets.  All three are decoded on first read,
+    so a caller that never reads them never pays for the frozensets or
+    for the P index entries of the comparable pairs.
     """
 
-    elements: tuple[frozenset, ...]
+    masks: tuple[int, ...]
     above: tuple[int, ...]
+
+    @cached_property
+    def elements(self) -> tuple[frozenset, ...]:
+        # The sink is the full set, whose mask has one flag per index.
+        index = range(self.masks[-1].bit_length())
+        return tuple(frozenset(set(_picked(index, mask))) for mask in self.masks)
 
     @cached_property
     def succ(self) -> tuple[tuple[int, ...], ...]:
         # Decoding from one tuple shares its int objects between all the rows.
-        index = tuple(range(len(self.elements)))
+        index = tuple(range(len(self.masks)))
         return tuple(tuple(_picked(index, mask)) for mask in self.above)
 
     @cached_property
@@ -223,7 +253,7 @@ class SeparatorPoset:
         return {C: tuple(map(elements.__getitem__, sups)) for C, sups in zip(elements, self.succ)}
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.masks)
 
 
 def build_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:
@@ -236,42 +266,32 @@ def build_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:
     Built afresh on every call and kept nowhere: the well-separated DP
     keeps what it needs of the instance's poset in its chain table.
 
-    Each side-set is an int mask in which index i carries the flag
-    ``1 << (n - 1 - i)``; a complement's frozenset is built only when its
-    mask is new.  Of two sets of one size, the one with the greater mask
-    has the lesser sorted indices, so sorting by (size, -mask) gives the
-    (size, indices) order.  The poset keeps, per element, the AND of the
-    masks of the elements holding each of its members, and decodes no
-    successor list.
+    Each side-set is the kernel's int mask, and a complement is the mask
+    XOR the full set, so no frozenset is built.  Of two sets of one size,
+    the one with the greater mask has the lesser sorted indices, so
+    sorting by (size, -mask) gives the (size, indices) order.  The poset
+    keeps, per element, the AND of the masks of the elements holding
+    each of its members, and decodes no successor list.
     """
     n = len(S)
     full = (1 << n) - 1
-    index_set = set(range(n))
-    flag = [1 << (n - 1 - i) for i in range(n)]
-    sides: dict[int, frozenset] = {}
+    to_mask = S.kernel.mask
+    sides = {0, full}
     for h in holes:
-        left = sum(map(flag.__getitem__, h.left_set))
-        right = full ^ left
-        if left not in sides:
-            sides[left] = h.left_set
-        if right not in sides:
-            # Frozen from a set, so that its table is sized to its members
-            # rather than grown one member at a time.
-            sides[right] = frozenset(index_set - h.left_set)
-    sides.setdefault(0, frozenset())
-    sides.setdefault(full, frozenset(index_set))
-    masks = sorted(sides, key=lambda mask: (mask.bit_count(), -mask))
-    elements = tuple(map(sides.__getitem__, masks))
+        left = to_mask(h.left_set)
+        sides.add(left)
+        sides.add(full ^ left)
+    masks = tuple(sorted(sides, key=lambda mask: (mask.bit_count(), -mask)))
     # Digit e*n + i of the concatenated n-digit numerals flags index i in
     # element e, so every n-th digit from i on is the base-2 numeral of
     # containing[i], where element e carries the flag 1 << (m - 1 - e).
-    m = len(elements)
+    m = len(masks)
     digits = "".join([f"{mask:0{n}b}" for mask in masks])
     containing = [int(digits[i::n], 2) for i in range(n)]
     # An element's strict supersets are the later elements holding all of
     # its members: elements sort by size, so no earlier one can.
-    holding = containing.__getitem__
     above = tuple(
-        reduce(and_, map(holding, c), (1 << (m - 1 - e)) - 1) for e, c in enumerate(elements)
+        reduce(and_, _picked(containing, mask), (1 << (m - 1 - e)) - 1)
+        for e, mask in enumerate(masks)
     )
-    return SeparatorPoset(elements, above)
+    return SeparatorPoset(masks, above)

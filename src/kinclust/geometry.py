@@ -336,31 +336,28 @@ class SpanKernel:
 
     Member i moves along x(t) = (a + v*t) / den, where a = x0 * den and
     v = (x1 - x0) * den are integers over the common denominator ``den``
-    of every coordinate.  ``lines`` holds the (v, a) pairs sorted by slope,
-    then intercept, ``rank[i]`` is member i's place in that order and
-    ``order`` the members in that order.  ``leftmost`` lists the member
-    indices in bottom-leftmost order, by (x0, x1).
+    of every coordinate; ``lines[i]`` is member i's (v, a) pair.
+    ``leftmost`` lists the member indices in bottom-leftmost order, by
+    (x0, x1).
 
-    The kernel alone encodes clusters: a cluster is the int mask in which
-    member i carries the flag ``bits[i] = 1 << (n - 1 - rank[i])``, so the
-    mask's binary numeral reads the members in slope order and decodes
-    straight into sorted lines.  ``mask`` and ``members`` convert between
-    a frozenset of indices and its mask.
+    One int-mask format serves the hole sweep, the side-set poset, the
+    chain table and the span memo: a cluster is the mask in which member
+    i carries the flag ``bits[i] = 1 << (n - 1 - i)``, so the mask's
+    binary numeral reads the members in index order, and of two clusters
+    of one size the one with the greater mask has the lesser sorted
+    indices.  ``mask`` and ``members`` convert between a frozenset of
+    indices and its mask.
 
     ``spans`` memoizes span areas by mask and ``rows`` the pairwise
     span-area rows of the members asked for; ``holes`` holds the
     arrangement's hole table once computed (see ``arrangement``), and
     ``chain_table`` the block areas and layers of the well-separated
     dynamic program (see ``sum_diameter.ChainTable``), which keep the
-    side-set poset's elements and its index successors, decoded from the
-    poset's masks when the table is built; the poset itself is not kept.
-    The kernel lives and dies with its instance.
+    side-set poset's masks and its index successors; the poset itself is
+    not kept.  The kernel lives and dies with its instance.
     """
 
-    __slots__ = (
-        "den", "lines", "rank", "order", "bits", "leftmost",
-        "spans", "rows", "holes", "chain_table",
-    )
+    __slots__ = ("den", "lines", "bits", "leftmost", "spans", "rows", "holes", "chain_table")
 
     def __init__(self, trajectories: tuple[Trajectory, ...]) -> None:
         den = math.lcm(*(x.denominator for s in trajectories for x in (s.x0, s.x1)))
@@ -368,17 +365,11 @@ class SpanKernel:
             (s.x0.numerator * (den // s.x0.denominator), s.x1.numerator * (den // s.x1.denominator))
             for s in trajectories
         ]
-        raw = [(x1 - x0, x0) for x0, x1 in ends]
-        order = sorted(range(len(raw)), key=raw.__getitem__)
-        rank = [0] * len(raw)
-        for r, i in enumerate(order):
-            rank[i] = r
+        n = len(ends)
         self.den = den
-        self.lines = tuple(raw[i] for i in order)
-        self.rank = tuple(rank)
-        self.order = tuple(order)
-        self.bits = tuple(1 << (len(raw) - 1 - r) for r in rank)
-        self.leftmost = tuple(sorted(range(len(ends)), key=ends.__getitem__))
+        self.lines = tuple((x1 - x0, x0) for x0, x1 in ends)
+        self.bits = tuple(1 << (n - 1 - i) for i in range(n))
+        self.leftmost = tuple(sorted(range(n), key=ends.__getitem__))
         self.spans: dict[int, Fraction] = {}
         self.rows: dict[int, tuple[Fraction, ...]] = {}
         self.holes = None
@@ -391,20 +382,20 @@ class SpanKernel:
     def members(self, mask: int) -> frozenset:
         """The frozenset of member indices flagged in ``mask``."""
         # Frozen from a set, so that its table is sized to its members.
-        return frozenset(set(_picked(self.order, mask)))
+        return frozenset(set(_picked(range(len(self.bits)), mask)))
 
     def span_area(self, mask: int) -> Fraction:
         """Span area of the members flagged in ``mask``, memoized by mask.
 
         Zero below two members.  The area is that of the members' upper
         chain and the upper chain of their mirrored lines (see
-        ``_chains_area``).
+        ``_chains_area``), taken over the members' lines sorted by slope.
         """
         if not mask & (mask - 1):
             return _ZERO
         area = self.spans.get(mask)
         if area is None:
-            ordered = list(_picked(self.lines, mask))
+            ordered = sorted(_picked(self.lines, mask))
             upper, lower = _upper_chain(ordered), _upper_chain(_mirrored(ordered))
             area = self.spans[mask] = _chains_area(upper, lower, self.den)
         return area
@@ -417,11 +408,10 @@ class SpanKernel:
         """
         row = self.rows.get(i)
         if row is None:
-            lines, den2 = self.lines, 2 * self.den
-            v, a = lines[self.rank[i]]
+            den2 = 2 * self.den
+            v, a = self.lines[i]
             row = []
-            for r in self.rank:
-                w, b = lines[r]
+            for w, b in self.lines:
                 p, q = _pair_terms(a - b, a - b + v - w)
                 row.append(Fraction(p, den2 * q))
             row = self.rows[i] = tuple(row)
@@ -437,8 +427,8 @@ class SpanKernel:
         if len(lines) < 2:
             raise ValueError("min_pair_area needs at least two members")
         best_p, best_q = None, 1
-        for r, (v, a) in enumerate(lines):
-            for w, b in lines[r + 1:]:
+        for i, (v, a) in enumerate(lines):
+            for w, b in lines[i + 1:]:
                 p, q = _pair_terms(a - b, a - b + v - w)
                 if best_p is None or p * best_q < best_p * q:
                     best_p, best_q = p, q
@@ -459,7 +449,7 @@ def envelope(S: TrajectorySet, C: Iterable[int], side: Side) -> Envelope:
     if not members:
         raise ValueError("envelope of an empty cluster")
     kernel = S.kernel
-    lines = list(_picked(kernel.lines, kernel.mask(members)))
+    lines = sorted(map(kernel.lines.__getitem__, members))
     # The left envelope is the right envelope of the mirrored lines, negated.
     sign = 1 if side == "right" else -1
     chain = _upper_chain(lines if sign == 1 else _mirrored(lines))
@@ -477,9 +467,8 @@ def diameter(S: TrajectorySet, C: Iterable[int]) -> Fraction:
 
     Zero for empty and singleton clusters; otherwise the integral of the
     right envelope minus that of the left, summed exactly over the convex
-    chains of the members' lines, which the cluster's mask yields already
-    sorted.  Results are memoized in the instance's kernel, keyed by the
-    cluster's int mask.
+    chains of the members' lines.  Results are memoized in the instance's
+    kernel, keyed by the cluster's int mask.
     """
     kernel = S.kernel
     return kernel.span_area(kernel.mask(as_cluster(C, len(S))))

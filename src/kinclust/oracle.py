@@ -316,16 +316,19 @@ def poset_by_inclusion(S: TrajectorySet, holes) -> SeparatorPoset:
     """The side-set poset by pairwise frozenset comparison, O(P^2).
 
     A referee for ``build_poset``: the empty set, the full set and the
-    distinct hole side-sets, sorted by (size, indices), each with the mask
-    of its strict supersets, where element j of m carries the flag
-    ``1 << (m - 1 - j)``.
+    distinct hole side-sets, sorted by (size, indices), each as the mask
+    in which index i of n carries the flag ``1 << (n - 1 - i)``, and each
+    with the mask of its strict supersets, where element j of m carries
+    the flag ``1 << (m - 1 - j)``.
     """
+    n = len(S)
     full = S.all_indices()
     sets = {frozenset(), full} | {h.left_set for h in holes} | {full - h.left_set for h in holes}
     elements = tuple(sorted(sets, key=lambda c: (len(c), tuple(sorted(c)))))
     m = len(elements)
+    masks = tuple(sum(1 << (n - 1 - i) for i in c) for c in elements)
     above = tuple(sum(1 << (m - 1 - j) for j, b in enumerate(elements) if a < b) for a in elements)
-    return SeparatorPoset(elements, above)
+    return SeparatorPoset(masks, above)
 
 
 def wellsep_dp_by_sets(S: TrajectorySet, k: int, objective: Objective) -> Solution:

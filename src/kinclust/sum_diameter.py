@@ -103,7 +103,7 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
     f(C - A, j - j1) over the distinct splits {A, C - A} of C by a bounded
     hole and over 1 <= j1 < j with each side holding at least as many
     members as clusters.  Clusters are the instance kernel's int masks
-    (member i carries the flag of its slope rank, see SpanKernel), values
+    (member i carries the flag 1 << (n - 1 - i), see SpanKernel), values
     reduced integer (num, den) pairs compared by cross-multiplication, and
     each leaf area is read once per distinct cluster through ``diameter``.
 
@@ -263,14 +263,14 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
 class ChainTable:
     """Per-instance table of the well-separated chain dynamic program.
 
-    Element e is ``elements[e]`` of the instance's side-set poset, in the
-    poset's canonical order, so the empty set is element 0 and the full
-    set the last one.  ``succ`` is the poset's own, decoded from its masks
-    when the table reads it: ``succ[e]`` lists the element indices of e's
-    strict supersets, in canonical order.  Row e holds the exact area of
-    each block (superset minus element) as the integers
-    ``nums[e][i] / dens[e][i]``; a block is the XOR of the two elements'
-    masks in the kernel's encoding.
+    Element e is ``masks[e]`` of the instance's side-set poset, the kernel's
+    int mask of the side-set, in the poset's canonical order, so the empty
+    set is element 0 and the full set the last one.  ``succ`` is the
+    poset's own, decoded from its masks when the table reads it:
+    ``succ[e]`` lists the element indices of e's strict supersets, in
+    canonical order.  Row e holds the exact area of each block (superset
+    minus element) as the integers ``nums[e][i] / dens[e][i]``; a block is
+    the XOR of the two elements' masks.
 
     A block's area is read from the kernel's span memo when the memo has
     it.  Otherwise it is computed from the block's two clipped chains (see
@@ -283,7 +283,7 @@ class ChainTable:
     parent's chain never carries the maximum inside (0, 1), and adding a
     line cannot change that.  A block with no such parent, or whose
     parents were all read from the memo and so have no chains, starts
-    from all of its lines.
+    from all of its lines, sorted by slope.
     The chains are transient: while row e is filled, only those of the
     supersets of the current size and of one member fewer are kept.
     Building a table raises ValueError, before computing any area, when
@@ -298,7 +298,7 @@ class ChainTable:
     compute a layer twice, but every thread reads the same stored one.
     """
 
-    __slots__ = ("elements", "succ", "nums", "dens", "layers")
+    __slots__ = ("masks", "succ", "nums", "dens", "layers")
 
     def __init__(self, kernel: SpanKernel, poset: SeparatorPoset) -> None:
         pairs = sum(mask.bit_count() for mask in poset.above)
@@ -309,11 +309,11 @@ class ChainTable:
             )
         lines, spans = kernel.lines, kernel.spans
         n = len(lines)
-        masks = list(map(kernel.mask, poset.elements))
+        masks = poset.masks
         mirrors = [(-v, -a) for v, a in lines]
         index = {mask: e for e, mask in enumerate(masks)}
-        # below[s]: (element, rank) for each element one member smaller than
-        # element s and inside it, with the slope rank of the missing member.
+        # below[s]: (element, index) for each element one member smaller than
+        # element s and inside it, with the index of the missing member.
         below = []
         for mask in masks:
             found, rest = [], mask
@@ -325,7 +325,7 @@ class ChainTable:
                     found.append((p, n - bit.bit_length()))
             below.append(tuple(found))
         del index
-        sizes = list(map(len, poset.elements))
+        sizes = [mask.bit_count() for mask in masks]
         get = spans.get
         nums, dens = [], []
         for e, (C, sups) in enumerate(zip(masks, poset.succ)):
@@ -343,27 +343,27 @@ class ChainTable:
                 D = masks[s] ^ C
                 if not D & (D - 1):
                     # One member: one-line chains and, as in span_area, area 0.
-                    r = n - D.bit_length()
-                    chains[s] = ((lines[r],), (mirrors[r],))
+                    i = n - D.bit_length()
+                    chains[s] = ((lines[i],), (mirrors[i],))
                     areas.append(_ZERO)
                     continue
                 area = get(D)
                 if area is None:
-                    for p, r in below[s]:
+                    for p, i in below[s]:
                         parent = smaller.get(p)
                         if parent is not None:
-                            upper = _upper_chain(sorted((*parent[0], lines[r])))
-                            lower = _upper_chain(sorted((*parent[1], mirrors[r])))
+                            upper = _upper_chain(sorted((*parent[0], lines[i])))
+                            lower = _upper_chain(sorted((*parent[1], mirrors[i])))
                             break
                     else:
-                        ordered = list(_picked(lines, D))
+                        ordered = sorted(_picked(lines, D))
                         upper, lower = _upper_chain(ordered), _upper_chain(_mirrored(ordered))
                     chains[s] = (upper, lower)
                     area = spans[D] = _chains_area(upper, lower, kernel.den)
                 areas.append(area)
             nums.append(tuple([area.numerator for area in areas]))
             dens.append(tuple([area.denominator for area in areas]))
-        self.elements, self.succ = poset.elements, poset.succ
+        self.masks, self.succ = masks, poset.succ
         self.nums, self.dens = nums, dens
         # Layer 1 is the single block from an element to the full set, the
         # last strict superset of every other element; it is the same for
@@ -426,8 +426,8 @@ def _wellsep_chain_dp(S: TrajectorySet, k: int, objective: Objective) -> Solutio
     if table is None:
         table = kernel.chain_table = ChainTable(kernel, build_poset(S, compute_holes(S)))
     layers = table.layers_upto(objective, k)
-    elements = table.elements
-    full = len(elements) - 1
+    masks = table.masks
+    full = len(masks) - 1
 
     num, den = layers[k - 1][0][0]
     chain = []
@@ -436,10 +436,10 @@ def _wellsep_chain_dp(S: TrajectorySet, k: int, objective: Objective) -> Solutio
         e = layers[j - 1][1][e]
         j -= 1
         if e != full:
-            chain.append(elements[e])
+            chain.append(kernel.members(masks[e]))
     clusters = []
     prev = frozenset()
-    for nxt_set in chain + [elements[full]]:
+    for nxt_set in chain + [S.all_indices()]:
         clusters.append(nxt_set - prev)
         prev = nxt_set
     clustering = normalize_clustering(clusters)

@@ -14,10 +14,14 @@ from kinclust import (
     hole_within_span,
     is_covered,
     is_well_separated,
+    md_wellsep_dp,
+    sd_exact_goodseq,
+    sd_wellsep_dp,
     separates,
     side_partition,
 )
-from kinclust.oracle import brute_opt_sd, holes_slab, poset_by_inclusion
+from kinclust import arrangement
+from kinclust.oracle import brute_opt_sd, crossing_time, holes_slab, poset_by_inclusion
 
 from conftest import DEGENERATE_FAMILIES, make_instance
 
@@ -182,6 +186,11 @@ def _assert_sweep_matches_referees(S):
     assert tuple(tuple(j for j in range(m) if mask >> (m - 1 - j) & 1) for mask in poset.above) == rows
     assert poset.succ == rows
     assert poset.successors == reference.successors
+    # The elements decoded from the masks are the referee's side-sets.
+    full = S.all_indices()
+    sides = {frozenset(), full} | {h.left_set for h in holes} | {full - h.left_set for h in holes}
+    assert set(poset.elements) == sides and len(poset.elements) == len(sides)
+    assert poset.elements == elements
 
 
 class TestSweepMatchesReferees:
@@ -211,6 +220,63 @@ class TestSweepMatchesReferees:
     def test_two_verticals_and_three_lines(self, two_verticals, three_lines):
         _assert_sweep_matches_referees(two_verticals)
         _assert_sweep_matches_referees(three_lines)
+
+
+def hole_bound(S):
+    """(n + 1 + crossings in (0, 1)) * n, the sweep's bound on left-set members."""
+    n = len(S)
+    crossings = sum(
+        1 for i, j in combinations(range(n), 2) if 0 < (crossing_time(S[i], S[j]) or 0) < 1
+    )
+    return (n + 1 + crossings) * n
+
+
+class TestHoleBudget:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: make_instance(4720, 12), id="generated"),
+            pytest.param(lambda: TrajectorySet.from_pairs(SWEEP_FAMILIES["integer-grid"]),
+                         id="integer-grid"),
+            pytest.param(lambda: TrajectorySet.from_pairs(DEGENERATE_FAMILIES["all-parallel"]),
+                         id="all-parallel"),
+        ],
+    )
+    def test_cap_admits_exactly_the_bound(self, make, monkeypatch):
+        S = make()
+        bound = hole_bound(S)
+        monkeypatch.setattr(arrangement, "MAX_HOLE_MEMBERS", bound - 1)
+        with pytest.raises(ValueError, match=f"MAX_HOLE_MEMBERS = {bound - 1}"):
+            compute_holes(S)
+        assert S.kernel.holes is None
+        monkeypatch.setattr(arrangement, "MAX_HOLE_MEMBERS", bound)
+        holes = compute_holes(S)
+        assert holes == holes_slab(S)
+        assert sum(map(len, (h.left_set for h in holes))) <= bound
+
+    def test_every_caller_of_the_holes_stops_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(arrangement, "MAX_HOLE_MEMBERS", 5)
+        S = make_instance(4721, 8)
+        calls = [lambda: is_well_separated(S, [range(4), range(4, 8)])]
+        solvers = (sd_exact_goodseq, sd_wellsep_dp, md_wellsep_dp)
+        calls += [lambda solve=solve: solve(S, 3) for solve in solvers]
+        for call in calls:
+            with pytest.raises(ValueError, match="MAX_HOLE_MEMBERS = 5"):
+                call()
+        assert S.kernel.holes is None and S.kernel.chain_table is None
+
+    def test_kept_table_still_answers(self, monkeypatch):
+        S = make_instance(4722, 10)
+        holes = compute_holes(S)
+        monkeypatch.setattr(arrangement, "MAX_HOLE_MEMBERS", 0)
+        assert compute_holes(S) is holes
+        with pytest.raises(ValueError, match="MAX_HOLE_MEMBERS = 0"):
+            compute_holes(make_instance(4722, 10))
+
+    def test_default_cap_admits_n_128(self):
+        S = make_instance(1, 128)
+        assert hole_bound(S) <= arrangement.MAX_HOLE_MEMBERS
+        assert len(compute_holes(S)) == 2086
 
 
 class TestSidePredicates:

@@ -77,6 +77,29 @@ class TestHoles:
         assert main(["holes", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["holes", "{file}"],
+            ["render", "{file}", "--holes", "-o", "{out}"],
+            ["sd", "exact", "{file}", "-k", "3"],
+            ["sd", "wellsep", "{file}", "-k", "3"],
+            ["md", "wellsep", "{file}", "-k", "3"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_hole_budget(self, argv, nested_file, tmp_path, capsys, monkeypatch):
+        from kinclust import arrangement
+
+        monkeypatch.setattr(arrangement, "MAX_HOLE_MEMBERS", 3)
+        out = tmp_path / "out.svg"
+        argv = [arg.format(file=nested_file, out=out) for arg in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "MAX_HOLE_MEMBERS = 3" in captured.err
+        assert not out.exists()
+
 
 class TestSd:
     def test_wellsep_at_least_brute(self, nested_file, capsys):

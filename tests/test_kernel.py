@@ -166,7 +166,7 @@ class TestIntMasks:
         if count is not None:
             entries = rng.sample(entries, count)
         for e, i in entries:
-            block = table.elements[table.succ[e][i]] - table.elements[e]
+            block = S.kernel.members(table.masks[table.succ[e][i]] ^ table.masks[e])
             yield block, Fraction(table.nums[e][i], table.dens[e][i])
 
     @pytest.mark.parametrize("seed", range(3))
@@ -213,6 +213,18 @@ class TestIntMasks:
         assert poset.succ is poset.succ
         assert "successors" not in vars(poset)
 
+    def test_poset_and_table_decode_no_elements(self):
+        # The table reads the poset's masks; the frozensets of its
+        # elements are built only when a caller reads them.
+        S = make_instance(25301, 10)
+        kernel = S.kernel
+        poset = build_poset(S, compute_holes(S))
+        assert "elements" not in vars(poset)
+        table = ChainTable(kernel, poset)
+        assert "elements" not in vars(poset)
+        assert table.masks is poset.masks
+        assert poset.elements == tuple(map(kernel.members, poset.masks))
+
     @pytest.mark.parametrize("seed", [25310, 25311, 25312])
     def test_warm_chain_table_keeps_the_referee_poset(self, seed):
         S = make_instance(seed, 9)
@@ -220,7 +232,8 @@ class TestIntMasks:
         md_wellsep_dp(S, 4)
         table = S.kernel.chain_table
         reference = poset_by_inclusion(S, compute_holes(S))
-        assert table.elements == reference.elements
+        assert tuple(map(S.kernel.members, table.masks)) == reference.elements
+        assert table.masks == reference.masks
         assert table.succ == reference.succ
 
     def test_leftmost_matches_referee(self):
@@ -248,13 +261,13 @@ class TestChainTableMatchesSpanArea:
             # Blocks the memo already holds give the table no chains, so
             # their supersets must find another parent or start afresh.
             poset = build_poset(S, compute_holes(S))
-            masks = [S.kernel.mask(element) for element in poset.elements]
+            masks = poset.masks
             blocks = sorted({masks[s] ^ C for C, sups in zip(masks, poset.succ) for s in sups})
             for D in random.Random(len(S)).sample(blocks, len(blocks) // 2):
                 S.kernel.span_area(D)
         sd_wellsep_dp(S, 1)
         table, kernel = S.kernel.chain_table, R.kernel
-        masks = [kernel.mask(element) for element in table.elements]
+        masks = [kernel.mask(S.kernel.members(mask)) for mask in table.masks]
         for C, sups, nums, dens in zip(masks, table.succ, table.nums, table.dens):
             assert len(sups) == len(nums) == len(dens)
             for s, num, den in zip(sups, nums, dens):
@@ -349,13 +362,16 @@ def test_monotone_under_inclusion(pairs, data):
 @_PROPERTY
 @given(_INSTANCE, st.data())
 def test_mask_round_trip(pairs, data):
+    # Index order: member i of n carries the flag 1 << (n - 1 - i).
     S = TrajectorySet.from_pairs(pairs)
     kernel = S.kernel
-    C = _cluster(data, len(S))
+    n = len(S)
+    C = _cluster(data, n)
     mask = kernel.mask(C)
+    assert mask == sum(1 << (n - 1 - i) for i in C)
     assert kernel.members(mask) == C
     assert mask.bit_count() == len(C)
-    assert list(_picked(kernel.lines, mask)) == sorted(kernel.lines[kernel.rank[i]] for i in C)
+    assert list(_picked(kernel.lines, mask)) == [kernel.lines[i] for i in sorted(C)]
 
 
 _TRAJECTORY = st.builds(Trajectory, _COORD, _COORD)
