@@ -349,12 +349,14 @@ class SpanKernel:
     indices and its mask.
 
     ``spans`` memoizes span areas by mask and ``rows`` the pairwise
-    span-area rows of the members asked for; ``holes`` holds the
-    arrangement's hole table once computed (see ``arrangement``), and
-    ``chain_table`` the block areas and layers of the well-separated
-    dynamic program (see ``sum_diameter.ChainTable``), which keep the
-    side-set poset's masks and its index successors; the poset itself is
-    not kept.  The kernel lives and dies with its instance.
+    span-area rows of the members asked for, each a pair of parallel int
+    tuples of numerators and denominators (see ``pair_row``); ``holes``
+    holds the arrangement's hole table once computed (see
+    ``arrangement``), and ``chain_table`` the block areas and layers of
+    the well-separated dynamic program (see ``sum_diameter.ChainTable``),
+    which keep the side-set poset's masks and its index successors; the
+    poset itself is not kept.  The kernel lives and dies with its
+    instance.
     """
 
     __slots__ = ("den", "lines", "bits", "leftmost", "spans", "rows", "holes", "chain_table")
@@ -371,7 +373,7 @@ class SpanKernel:
         self.bits = tuple(1 << (n - 1 - i) for i in range(n))
         self.leftmost = tuple(sorted(range(n), key=ends.__getitem__))
         self.spans: dict[int, Fraction] = {}
-        self.rows: dict[int, tuple[Fraction, ...]] = {}
+        self.rows: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self.holes = None
         self.chain_table = None
 
@@ -400,21 +402,25 @@ class SpanKernel:
             area = self.spans[mask] = _chains_area(upper, lower, self.den)
         return area
 
-    def pair_row(self, i: int) -> tuple[Fraction, ...]:
-        """Member i's pairwise span areas to every member j, in index order.
+    def pair_row(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Member i's pairwise span areas to every member j, as int pairs.
 
-        Entry j equals ``pairwise_diameter(S[i], S[j])``; the row is
-        memoized, and only rows asked for are ever built.
+        Returns parallel tuples ``(nums, dens)`` in index order: entry j is
+        ``nums[j] / dens[j]``, equal to ``pairwise_diameter(S[i], S[j])``,
+        left unreduced, and every denominator is positive, so callers
+        compare entries by cross-multiplication.  The row is memoized, and
+        only rows asked for are ever built.
         """
         row = self.rows.get(i)
         if row is None:
             den2 = 2 * self.den
             v, a = self.lines[i]
-            row = []
+            nums, dens = [], []
             for w, b in self.lines:
                 p, q = _pair_terms(a - b, a - b + v - w)
-                row.append(Fraction(p, den2 * q))
-            row = self.rows[i] = tuple(row)
+                nums.append(p)
+                dens.append(den2 * q)
+            row = self.rows[i] = (tuple(nums), tuple(dens))
         return row
 
     def min_pair_area(self) -> Fraction:

@@ -49,23 +49,23 @@ def gp(S: TrajectorySet, D: ScalarLike) -> Clustering:
     cluster of every remaining s' with pairwise diameter at most D (s
     itself included, its self-distance being zero).  Clusters come out in
     the order their representatives were picked.  Pairwise diameters are
-    read from the kernel's memoized row of each representative.
+    read from the kernel's memoized integer row of each representative
+    and tested against D = Dn / Dd as p * Dd <= Dn * q, without a
+    Fraction per entry.
     """
     D = as_scalar(D)
     if D < 0:
         raise ValueError(f"threshold D must be nonnegative, got {D}")
+    Dn, Dd = D.numerator, D.denominator
     kernel = S.kernel
-    taken = [False] * len(S)
+    rest = set(range(len(S)))
     clusters = []
     for s in kernel.leftmost:
-        if taken[s]:
-            continue
-        members = [
-            j for j, d in enumerate(kernel.pair_row(s)) if not taken[j] and d <= D
-        ]
-        for j in members:
-            taken[j] = True
-        clusters.append(frozenset(members))
+        if s in rest:
+            nums, dens = kernel.pair_row(s)
+            members = frozenset([j for j in rest if nums[j] * Dd <= Dn * dens[j]])
+            rest -= members
+            clusters.append(members)
     return tuple(clusters)
 
 
@@ -129,8 +129,11 @@ def kcenter_gonzalez(S: TrajectorySet, k: int) -> tuple[CenterSet, Clustering]:
     center maximizes the distance to the chosen ones (ties to the lowest
     index).  Every trajectory is then assigned to its nearest center,
     again with ties to the lowest center index, so the induced clusters
-    are disjoint.  Distances are read from the kernel's rows of the
-    centers.
+    are disjoint.  Each member keeps its nearest distance as an integer
+    pair p / q and its owning center; a new center takes a member over
+    when (distance, center index) is lexicographically smaller, compared
+    by cross-multiplication.  The owners are the assignment, so each
+    center's kernel row is read once.
     """
     n = len(S)
     check_k(k, n)
@@ -138,16 +141,24 @@ def kcenter_gonzalez(S: TrajectorySet, k: int) -> tuple[CenterSet, Clustering]:
     kernel = S.kernel
     seed = kernel.leftmost[0]
     centers = [seed]
-    nearest = list(kernel.pair_row(seed))
+    nums, dens = kernel.pair_row(seed)
+    near_p, near_q = list(nums), list(dens)
+    owner = [seed] * n
     while len(centers) < k:
-        far = max(range(n), key=lambda i: (nearest[i], -i))
+        far = 0
+        for i in range(1, n):
+            if near_p[i] * near_q[far] > near_p[far] * near_q[i]:
+                far = i
         centers.append(far)
-        nearest = [min(pair) for pair in zip(nearest, kernel.pair_row(far))]
+        nums, dens = kernel.pair_row(far)
+        for i in range(n):
+            p, q = nums[i], dens[i]
+            cmp = p * near_q[i] - near_p[i] * q
+            if cmp < 0 or (cmp == 0 and far < owner[i]):
+                near_p[i], near_q[i], owner[i] = p, q, far
 
-    rows = {c: kernel.pair_row(c) for c in centers}
-    assignment = tuple(min(centers, key=lambda c: (rows[c][i], c)) for i in range(n))
     groups: dict[int, set[int]] = {c: set() for c in centers}
-    for i, c in enumerate(assignment):
+    for i, c in enumerate(owner):
         groups[c].add(i)
     clustering = normalize_clustering(groups.values())
-    return CenterSet(tuple(centers), assignment), clustering
+    return CenterSet(tuple(centers), tuple(owner)), clustering

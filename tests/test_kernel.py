@@ -118,14 +118,20 @@ class TestPairRows:
     def _assert_rows_exact(S):
         kernel = S.kernel
         n = len(S)
+        least = None
         for i in range(n):
             row = kernel.pair_row(i)
-            assert row == tuple(pairwise_diameter(S[i], S[j]) for j in range(n))
+            nums, dens = row
+            assert len(nums) == len(dens) == n
+            for j, (num, den) in enumerate(zip(nums, dens)):
+                assert type(num) is int and type(den) is int and den > 0
+                area = Fraction(num, den)
+                assert area == pairwise_diameter(S[i], S[j])
+                if j != i and (least is None or area < least):
+                    least = area
             assert kernel.pair_row(i) is row  # memoized
         if n >= 2:
-            assert kernel.min_pair_area() == min(
-                pairwise_diameter(S[i], S[j]) for i in range(n) for j in range(i + 1, n)
-            )
+            assert kernel.min_pair_area() == least
 
     @pytest.mark.parametrize("n", [2, 9, 33, 64])
     def test_random_instances(self, n):

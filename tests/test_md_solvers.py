@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from kinclust import (
+    TrajectorySet,
     bsearch,
     diameter,
     gp,
@@ -19,6 +20,7 @@ from kinclust import (
 from kinclust.oracle import bottom_leftmost_index, brute_opt_md
 
 from conftest import (
+    DEGENERATE_FAMILIES,
     GP_BOUND,
     KCENTER_BOUND,
     make_instance,
@@ -28,6 +30,11 @@ from conftest import (
     time_reversed,
     translated,
 )
+
+
+# Instances whose pairwise areas tie all over: the degenerate line families
+# and every (x0, x1) of a 4 x 4 integer grid.
+TIE_FAMILIES = {**DEGENERATE_FAMILIES, "grid-4x4": [(x0, x1) for x0 in range(4) for x1 in range(4)]}
 
 
 def pair_areas(S):
@@ -96,6 +103,16 @@ class TestGp:
             pairs = [pairwise_diameter(S[i], S[j]) for i in range(n) for j in range(i + 1, n)]
             for D in [0, *rng.sample(pairs, 6), max(pairs) / 3, max(pairs)]:
                 assert gp(S, D) == gp_by_definition(S, D)
+
+    @pytest.mark.parametrize("pairs", list(TIE_FAMILIES.values()), ids=list(TIE_FAMILIES))
+    def test_matches_definition_at_tied_thresholds(self, pairs):
+        # At each distinct pairwise area every pair tied at it joins (<=
+        # is inclusive); a hair below it, none of them does.
+        S = TrajectorySet.from_pairs(pairs)
+        for D in sorted(set(pair_areas(S))):
+            for threshold in (D, D - Fraction(1, 10**30)):
+                assert gp(S, threshold) == gp_by_definition(S, threshold)
+        assert gp(S, 0) == gp_by_definition(S, 0)
 
     def test_verticals_merge_at_unit_threshold(self, two_verticals):
         assert gp(two_verticals, 1) == (frozenset({0, 1}),)
@@ -229,6 +246,15 @@ class TestKcenter:
             for k in (1, 2, 4, n if n <= 24 else 9):
                 centers, _ = kcenter_gonzalez(S, k)
                 assert (centers.centers, centers.assignment) == kcenter_by_definition(S, k)
+
+    @pytest.mark.parametrize("pairs", list(TIE_FAMILIES.values()), ids=list(TIE_FAMILIES))
+    def test_matches_definition_on_ties(self, pairs):
+        # Tied distances exercise both tie rules: the farthest member with
+        # the lowest index, and the nearest center with the lowest index.
+        S = TrajectorySet.from_pairs(pairs)
+        for k in range(1, len(S) + 1):
+            centers, _ = kcenter_gonzalez(S, k)
+            assert (centers.centers, centers.assignment) == kcenter_by_definition(S, k)
 
     def test_out_of_range(self, quartet):
         for bad in (0, 5):
