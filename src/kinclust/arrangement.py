@@ -26,27 +26,44 @@ _ONE = Fraction(1)
 
 # Most left-set members the hole table may hold, bounded as (n + 1 +
 # crossings) * n while the sweep counts the crossings in (0, 1); past the
-# cap ``compute_holes`` raises ValueError before it builds any hole.  A
-# table costs about 25 bytes of peak RSS per unit of that bound on CPython
-# 3.11.7.  Seed-1 instances: the bound is 0.27 million at n=128, 16.2
-# million at n=512 (1.6 s, +351 MB) and 55 million at n=768, which the cap
-# refuses.
+# cap ``compute_holes`` raises ValueError before it builds any hole.  Holes
+# keep int masks, so the members cost memory only once their left sets are
+# read (``kinclust holes``, ``render --holes``, ``is_well_separated``):
+# about 28 bytes of peak RSS per unit of the bound on CPython 3.11.7.
+# Seed-1 instances: the bound is 0.27 million at n=128, 16.2 million at
+# n=512 (0.28 s and +15 MB for the holes alone, 2.2 s and +454 MB with
+# every left set read) and 55 million at n=768, which the cap refuses.
 MAX_HOLE_MEMBERS = 20_000_000
 
 
 @dataclass(frozen=True)
 class Hole:
-    """One face of the arrangement.
+    """One face of the arrangement, ``Hole(mask, n, t_lo, t_hi)``.
 
-    ``left_set`` holds the indices of the trajectories entirely to the
-    face's left; (t_lo, t_hi) is the maximal open time interval on which
-    the gap between ``left_set`` and its complement is positive.
+    ``mask`` flags the trajectories entirely to the face's left, member i
+    of n carrying ``1 << (n - 1 - i)`` as in the kernel; (t_lo, t_hi) is
+    the maximal open time interval on which the gap between them and the
+    rest is positive.  ``left_set``, their frozenset of indices, is
+    decoded on first read, and ``kind`` follows the mask.
     """
 
-    left_set: frozenset
+    mask: int
+    n: int
     t_lo: Fraction
     t_hi: Fraction
-    kind: HoleKind
+
+    @cached_property
+    def left_set(self) -> frozenset:
+        # Frozen from a set, so that its table is sized to its members.
+        return frozenset(set(_picked(range(self.n), self.mask)))
+
+    @property
+    def kind(self) -> HoleKind:
+        if not self.mask:
+            return "unbounded_left"
+        if self.mask == (1 << self.n) - 1:
+            return "unbounded_right"
+        return "bounded"
 
 
 def compute_holes(S: TrajectorySet) -> tuple[Hole, ...]:
@@ -67,10 +84,10 @@ def compute_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     prefix is a concave function of time, hence positive on a single
     interval, so no face ever re-opens and each is emitted exactly once
     with its full time extent.  Crossing times come from the kernel's
-    integer lines; prefixes are the kernel's int masks, each turned into a
-    frozenset once, when its hole is emitted.  Raises ValueError, before
-    building any hole, when the table may hold more than MAX_HOLE_MEMBERS
-    left-set members.
+    integer lines; prefixes are the kernel's int masks, and each hole
+    keeps its mask, so no frozenset is built until a left set is read.
+    Raises ValueError, before building any hole, when the table's left
+    sets may hold more than MAX_HOLE_MEMBERS members.
     """
     kernel = S.kernel
     if kernel.holes is None:
@@ -146,24 +163,13 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
                 if mask in seen:
                     # A prefix reappearing after a gap would contradict the
                     # concavity of its gap function.
-                    raise AssertionError(f"face {sorted(kernel.members(mask))} re-opened at t={t}")
+                    raise AssertionError(f"face {list(_picked(range(n), mask))} re-opened at t={t}")
                 seen.add(mask)
                 open_slot[size] = len(faces)
                 faces.append([mask, t, None])
     for slot in open_slot:
         faces[slot][2] = _ONE
-
-    full = (1 << n) - 1
-    holes = []
-    for mask, lo, hi in faces:
-        if not mask:
-            kind: HoleKind = "unbounded_left"
-        elif mask == full:
-            kind = "unbounded_right"
-        else:
-            kind = "bounded"
-        holes.append(Hole(kernel.members(mask), lo, hi, kind))
-    return tuple(holes)
+    return tuple(Hole(mask, n, lo, hi) for mask, lo, hi in faces)
 
 
 def side_partition(S: TrajectorySet, h: Hole) -> tuple[frozenset, frozenset]:
@@ -265,9 +271,10 @@ def build_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:
 
     Built afresh on every call and kept nowhere: the well-separated DP
     keeps what it needs of the instance's poset in its chain table.
+    Raises ValueError on a hole of an instance of another size.
 
-    Each side-set is the kernel's int mask, and a complement is the mask
-    XOR the full set, so no frozenset is built.  Of two sets of one size,
+    Each side-set is a hole's mask, and a complement is the mask XOR the
+    full set, so no left set is read.  Of two sets of one size,
     the one with the greater mask has the lesser sorted indices, so
     sorting by (size, -mask) gives the (size, indices) order.  The poset
     keeps, per element, the AND of the masks of the elements holding
@@ -275,12 +282,12 @@ def build_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:
     """
     n = len(S)
     full = (1 << n) - 1
-    to_mask = S.kernel.mask
     sides = {0, full}
     for h in holes:
-        left = to_mask(h.left_set)
-        sides.add(left)
-        sides.add(full ^ left)
+        if h.n != n:
+            raise ValueError(f"build_poset: a hole of {h.n} trajectories, not {n}")
+        sides.add(h.mask)
+        sides.add(full ^ h.mask)
     masks = tuple(sorted(sides, key=lambda mask: (mask.bit_count(), -mask)))
     # Digit e*n + i of the concatenated n-digit numerals flags index i in
     # element e, so every n-th digit from i on is the base-2 numeral of

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .arrangement import Hole, HoleKind, SeparatorPoset, compute_holes, is_well_separated
+from .arrangement import Hole, SeparatorPoset, compute_holes, is_well_separated
 from .geometry import (
     Clustering,
     Envelope,
@@ -298,18 +298,8 @@ def holes_slab(S: TrajectorySet) -> tuple[Hole, ...]:
             else:
                 raise AssertionError(f"face {sorted(prefix)} re-opened at t={lo}")
 
-    full = S.all_indices()
-    holes = []
-    for left, (lo, hi) in runs.items():
-        if not left:
-            kind: HoleKind = "unbounded_left"
-        elif left == full:
-            kind = "unbounded_right"
-        else:
-            kind = "bounded"
-        holes.append(Hole(left, lo, hi, kind))
-    holes.sort(key=lambda h: (h.t_lo, len(h.left_set), tuple(sorted(h.left_set))))
-    return tuple(holes)
+    ordered = sorted(runs.items(), key=lambda run: (run[1][0], len(run[0]), sorted(run[0])))
+    return tuple(Hole(sum(1 << (n - 1 - i) for i in left), n, lo, hi) for left, (lo, hi) in ordered)
 
 
 def poset_by_inclusion(S: TrajectorySet, holes) -> SeparatorPoset:

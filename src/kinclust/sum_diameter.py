@@ -102,10 +102,11 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
     clusters: f(C, 1) = diam(C), and f(C, j) is the least f(A, j1) +
     f(C - A, j - j1) over the distinct splits {A, C - A} of C by a bounded
     hole and over 1 <= j1 < j with each side holding at least as many
-    members as clusters.  Clusters are the instance kernel's int masks
-    (member i carries the flag 1 << (n - 1 - i), see SpanKernel), values
-    reduced integer (num, den) pairs compared by cross-multiplication, and
-    each leaf area is read once per distinct cluster through ``diameter``.
+    members as clusters.  Clusters and hole sides are the instance
+    kernel's int masks (member i carries the flag 1 << (n - 1 - i), see
+    SpanKernel), values reduced integer (num, den) pairs compared by
+    cross-multiplication, and each leaf area is read once per distinct
+    cluster through ``diameter``.
 
     Ties go to the least canonical key: each state keeps the least
     (value, key) pair, where the key of a split is the sorted merge of
@@ -121,7 +122,7 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
     # The bounded holes by left mask, in hole order; the sweep emits each
     # face once, so no two holes share a left mask.
     kernel = S.kernel
-    splitters = {kernel.mask(h.left_set): h for h in compute_holes(S) if h.kind == "bounded"}
+    splitters = {h.mask: h for h in compute_holes(S) if h.kind == "bounded"}
     masks = tuple(splitters)
 
     values: dict[int, list[tuple[int, int]]] = {}  # cluster -> f(C, j) for j = 1, 2, ...

@@ -170,6 +170,13 @@ SWEEP_FAMILIES = {
 
 def _assert_sweep_matches_referees(S):
     holes = compute_holes(S)
+    # A hole stores its kernel mask; the left set decodes from it, and the
+    # kind follows it.
+    full = (1 << len(S)) - 1
+    for h in holes:
+        assert h.n == len(S)
+        assert h.left_set == S.kernel.members(h.mask)
+        assert h.kind == {0: "unbounded_left", full: "unbounded_right"}.get(h.mask, "bounded")
     assert holes == holes_slab(S)
     reference = poset_by_inclusion(S, holes)
     # The poset depends on the holes' side-sets only, not on their order.
@@ -220,6 +227,30 @@ class TestSweepMatchesReferees:
     def test_two_verticals_and_three_lines(self, two_verticals, three_lines):
         _assert_sweep_matches_referees(two_verticals)
         _assert_sweep_matches_referees(three_lines)
+
+
+class TestHoleFormat:
+    """A hole keeps its kernel mask; its left set is decoded on first read."""
+
+    @pytest.mark.parametrize(
+        "solve",
+        [lambda S: None, lambda S: sd_wellsep_dp(S, 3), lambda S: sd_exact_goodseq(S, 3)],
+        ids=["compute_holes", "sd_wellsep_dp", "sd_exact_goodseq"],
+    )
+    def test_no_left_set_is_decoded_unread(self, solve):
+        for seed in range(3):
+            S = make_instance(19000 + seed, 9)
+            solve(S)
+            holes = compute_holes(S)
+            assert not any("left_set" in vars(h) for h in holes)
+            left = holes[1].left_set
+            assert vars(holes[1])["left_set"] is left and holes[1].left_set is left
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_build_poset_rejects_holes_of_another_size(self, n):
+        S = make_instance(19100, 6)
+        with pytest.raises(ValueError, match="build_poset"):
+            build_poset(S, compute_holes(make_instance(19101, n)))
 
 
 def hole_bound(S):
