@@ -15,7 +15,7 @@ from functools import cached_property, reduce
 from itertools import groupby
 from math import gcd
 from operator import and_
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal
 
 from .geometry import TrajectorySet, _picked, as_cluster
 
@@ -222,36 +222,43 @@ def is_well_separated(S: TrajectorySet, clustering: Iterable[Iterable[int]]) -> 
 class SeparatorPoset:
     """The distinct hole side-sets, ordered by strict inclusion.
 
-    ``masks`` holds the side-sets as the kernel's int masks (member i
-    carries the flag ``1 << (n - 1 - i)``), sorted by (size, indices), so
-    the empty set, the unique source, is ``masks[0]`` and the full index
-    set, the unique sink, is ``masks[-1]``.  Of m elements, element j
-    carries the flag ``1 << (m - 1 - j)``, and ``above[e]`` is the int
-    mask flagging the strict supersets of element e among the elements.
-    Two posets are equal when their masks and ``above`` are.
+    ``SeparatorPoset(masks)``: ``masks`` holds the side-sets as the
+    kernel's int masks (member i of n carries the flag ``1 << (n - 1 -
+    i)``), sorted by (size, indices), so the empty set, the unique source,
+    is ``masks[0]`` and the full index set, the unique sink, is
+    ``masks[-1]``, whose bit length is ``n``.  The order is a function of
+    the masks, so two posets are equal, and hash equal, when their masks
+    are.
 
-    ``elements`` holds the side-sets as frozensets of indices, ``succ[e]``
-    lists the strict supersets of element e as element indices, in the
-    same canonical order, and ``successors`` maps each element to its
-    strict supersets as frozensets.  All three are decoded on first read,
-    so a caller that never reads them never pays for the frozensets or
-    for the P index entries of the comparable pairs.
+    Everything else is built on first read and kept.  Of m elements,
+    element j carries the flag ``1 << (m - 1 - j)``, and ``above[e]`` is
+    the int mask flagging the strict supersets of element e among the
+    elements.  ``elements`` holds the side-sets as frozensets of indices,
+    ``succ[e]`` lists the strict supersets of element e as element
+    indices, in the same canonical order, and ``successors`` maps each
+    element to its strict supersets as frozensets.  A caller that reads
+    only the masks never pays for the order, its P comparable pairs or
+    any frozenset.
     """
 
     masks: tuple[int, ...]
-    above: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return self.masks[-1].bit_length()
+
+    @cached_property
+    def above(self) -> tuple[int, ...]:
+        return tuple(_above_rows(self.masks))
 
     @cached_property
     def elements(self) -> tuple[frozenset, ...]:
-        # The sink is the full set, whose mask has one flag per index.
-        index = range(self.masks[-1].bit_length())
+        index = range(self.n)
         return tuple(frozenset(set(_picked(index, mask))) for mask in self.masks)
 
     @cached_property
     def succ(self) -> tuple[tuple[int, ...], ...]:
-        # Decoding from one tuple shares its int objects between all the rows.
-        index = tuple(range(len(self.masks)))
-        return tuple(tuple(_picked(index, mask)) for mask in self.above)
+        return _decode_rows(self.above)
 
     @cached_property
     def successors(self) -> dict[frozenset, tuple[frozenset, ...]]:
@@ -260,6 +267,33 @@ class SeparatorPoset:
 
     def __len__(self) -> int:
         return len(self.masks)
+
+
+def _above_rows(masks: tuple[int, ...]) -> Iterator[int]:
+    """The rows of the order on ``masks``, in element order.
+
+    Row e flags the strict supersets of element e among the m elements,
+    element j carrying the flag ``1 << (m - 1 - j)``: the AND, over e's
+    members, of the elements holding each member.  ``masks`` is sorted by
+    size, so no earlier element can be a strict superset.  Elements sort
+    by size, and the smallest have the most supersets, so a reader that
+    counts the pairs as the rows arrive sees most of them early.
+    """
+    n, m = masks[-1].bit_length(), len(masks)
+    # Digit e*n + i of the concatenated n-digit numerals flags index i in
+    # element e, so every n-th digit from i on is the base-2 numeral of
+    # containing[i], in which element e carries the flag 1 << (m - 1 - e).
+    digits = "".join([f"{mask:0{n}b}" for mask in masks])
+    containing = [int(digits[i::n], 2) for i in range(n)]
+    for e, mask in enumerate(masks):
+        yield reduce(and_, _picked(containing, mask), (1 << (m - 1 - e)) - 1)
+
+
+def _decode_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """Each row of the order as the tuple of the element indices it flags."""
+    # Decoding from one tuple shares its int objects between all the rows.
+    index = tuple(range(len(rows)))
+    return tuple(tuple(_picked(index, row)) for row in rows)
 
 
 def build_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:
@@ -276,9 +310,8 @@ def build_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:
     Each side-set is a hole's mask, and a complement is the mask XOR the
     full set, so no left set is read.  Of two sets of one size,
     the one with the greater mask has the lesser sorted indices, so
-    sorting by (size, -mask) gives the (size, indices) order.  The poset
-    keeps, per element, the AND of the masks of the elements holding
-    each of its members, and decodes no successor list.
+    sorting by (size, -mask) gives the (size, indices) order.  Only the
+    masks are built here; the order is built when first read.
     """
     n = len(S)
     full = (1 << n) - 1
@@ -288,17 +321,4 @@ def build_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:
             raise ValueError(f"build_poset: a hole of {h.n} trajectories, not {n}")
         sides.add(h.mask)
         sides.add(full ^ h.mask)
-    masks = tuple(sorted(sides, key=lambda mask: (mask.bit_count(), -mask)))
-    # Digit e*n + i of the concatenated n-digit numerals flags index i in
-    # element e, so every n-th digit from i on is the base-2 numeral of
-    # containing[i], where element e carries the flag 1 << (m - 1 - e).
-    m = len(masks)
-    digits = "".join([f"{mask:0{n}b}" for mask in masks])
-    containing = [int(digits[i::n], 2) for i in range(n)]
-    # An element's strict supersets are the later elements holding all of
-    # its members: elements sort by size, so no earlier one can.
-    above = tuple(
-        reduce(and_, _picked(containing, mask), (1 << (m - 1 - e)) - 1)
-        for e, mask in enumerate(masks)
-    )
-    return SeparatorPoset(masks, above)
+    return SeparatorPoset(tuple(sorted(sides, key=lambda mask: (mask.bit_count(), -mask))))

@@ -426,17 +426,29 @@ class SpanKernel:
     def min_pair_area(self) -> Fraction:
         """Smallest span area over all pairs of at least two members.
 
-        One pass over the pairs in integers, comparing p / q by
-        cross-multiplication; a single Fraction is built at the end.
+        A pair's area p / (2 den q) (see ``_pair_terms``) is at least the
+        distance between its members' midpoints, |Δ(2a + v)| / (2 den),
+        the absolute value of the mean of their difference.  So the members
+        are scanned by midpoint, the one-dimensional closest-pair sweep:
+        each inner scan stops at the first later member whose midpoint
+        distance reaches the best area so far.  Areas are compared as
+        integers by cross-multiplication; a single Fraction is built at
+        the end.
         """
         lines = self.lines
         if len(lines) < 2:
             raise ValueError("min_pair_area needs at least two members")
-        best_p, best_q = None, 1
-        for i, (v, a) in enumerate(lines):
-            for w, b in lines[i + 1:]:
+        ordered = sorted((2 * a + v, v, a) for v, a in lines)
+        mids = [mid for mid, _, _ in ordered]
+        (_, v, a), (_, w, b) = ordered[:2]
+        best_p, best_q = _pair_terms(a - b, a - b + v - w)
+        for i, (mid, v, a) in enumerate(ordered):
+            for j in range(i + 1, len(ordered)):
+                if (mids[j] - mid) * best_q >= best_p:
+                    break
+                _, w, b = ordered[j]
                 p, q = _pair_terms(a - b, a - b + v - w)
-                if best_p is None or p * best_q < best_p * q:
+                if p * best_q < best_p * q:
                     best_p, best_q = p, q
         return Fraction(best_p, 2 * self.den * best_q)
 

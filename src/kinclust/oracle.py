@@ -4,11 +4,11 @@ Exhaustive enumeration of set partitions (restricted growth strings),
 optima over all or only well-separated clusterings, Stirling counting
 checks, a numeric Riemann cross-check of the exact span area, and slow
 exact referees for the kernel: the bottom-leftmost member by a direct
-minimum, span areas by trapezoids over the pairwise crossing-time grid,
-envelopes read off at slab midpoints, holes
-from a re-sort of the trajectories in every slab, the side-set poset
-from frozenset comparisons, the well-separated chain DP over
-frozensets and Fractions, and the exact sum of diameters by a
+minimum, the least pair area over every pair, span areas by trapezoids
+over the pairwise crossing-time grid, envelopes read off at slab
+midpoints, holes from a re-sort of the trajectories in every slab, the
+side-set poset from frozenset comparisons, the well-separated chain DP
+over frozensets and Fractions, and the exact sum of diameters by a
 breadth-first frontier of whole clusterings.  Diameters come straight
 from the core geometry; nothing here reuses solver logic.
 """
@@ -28,6 +28,7 @@ from .geometry import (
     Solution,
     Trajectory,
     TrajectorySet,
+    _pair_terms,
     as_cluster,
     canonical_key,
     check_k,
@@ -190,6 +191,26 @@ def bottom_leftmost_index(S: TrajectorySet, C) -> int:
     return min(cluster, key=lambda i: S[i])
 
 
+def min_pair_area_by_pairs(S: TrajectorySet) -> Fraction:
+    """Smallest span area over all pairs of members, one pass over every pair.
+
+    A referee for ``SpanKernel.min_pair_area``, which prunes the pairs by
+    midpoint distance: here no pair is skipped.  Areas are the kernel's
+    integer pair terms over its lines, compared by cross-multiplication.
+    """
+    kernel = S.kernel
+    lines = kernel.lines
+    if len(lines) < 2:
+        raise ValueError("min_pair_area needs at least two members")
+    best_p, best_q = None, 1
+    for i, (v, a) in enumerate(lines):
+        for w, b in lines[i + 1:]:
+            p, q = _pair_terms(a - b, a - b + v - w)
+            if best_p is None or p * best_q < best_p * q:
+                best_p, best_q = p, q
+    return Fraction(best_p, 2 * kernel.den * best_q)
+
+
 def crossing_time(a: Trajectory, b: Trajectory) -> Fraction | None:
     """Time at which two trajectories meet, or None for parallel ones.
 
@@ -309,16 +330,21 @@ def poset_by_inclusion(S: TrajectorySet, holes) -> SeparatorPoset:
     distinct hole side-sets, sorted by (size, indices), each as the mask
     in which index i of n carries the flag ``1 << (n - 1 - i)``, and each
     with the mask of its strict supersets, where element j of m carries
-    the flag ``1 << (m - 1 - j)``.
+    the flag ``1 << (m - 1 - j)``.  That order is stored as the poset's
+    ``above`` (and its ``succ`` decoded from it), so reading the order of
+    this poset runs none of the library's row code.
     """
     n = len(S)
     full = S.all_indices()
     sets = {frozenset(), full} | {h.left_set for h in holes} | {full - h.left_set for h in holes}
     elements = tuple(sorted(sets, key=lambda c: (len(c), tuple(sorted(c)))))
     m = len(elements)
-    masks = tuple(sum(1 << (n - 1 - i) for i in c) for c in elements)
-    above = tuple(sum(1 << (m - 1 - j) for j, b in enumerate(elements) if a < b) for a in elements)
-    return SeparatorPoset(masks, above)
+    poset = SeparatorPoset(tuple(sum(1 << (n - 1 - i) for i in c) for c in elements))
+    # Fill the cached property, which ``above`` would otherwise build.
+    vars(poset)["above"] = tuple(
+        sum(1 << (m - 1 - j) for j, b in enumerate(elements) if a < b) for a in elements
+    )
+    return poset
 
 
 def wellsep_dp_by_sets(S: TrajectorySet, k: int, objective: Objective) -> Solution:

@@ -23,6 +23,8 @@ from typing import Iterable
 from .arrangement import (
     Hole,
     SeparatorPoset,
+    _above_rows,
+    _decode_rows,
     build_poset,
     compute_holes,
     hole_within_span,
@@ -89,7 +91,9 @@ MAX_SPLIT_WORK = 20_000_000
 # any area.  A cold table costs about 8 microseconds and 120 bytes of peak
 # RSS per pair on CPython 3.11.7.  Seed-1 instances: P is 1.1 million at
 # n=96 (8-10 s, +133 MB), 3.2 million at n=128 (25 s, +408 MB) and 14.7
-# million at n=192, which the cap refuses.
+# million at n=192, which the cap refuses.  The pairs are counted while the
+# order's rows are built, so a refusal builds only a prefix of the order:
+# n=512 (P 655 million) is refused in 0.7 s and +82 MB, holes included.
 MAX_CHAIN_PAIRS = 4_000_000
 
 
@@ -266,12 +270,13 @@ class ChainTable:
 
     Element e is ``masks[e]`` of the instance's side-set poset, the kernel's
     int mask of the side-set, in the poset's canonical order, so the empty
-    set is element 0 and the full set the last one.  ``succ`` is the
-    poset's own, decoded from its masks when the table reads it:
-    ``succ[e]`` lists the element indices of e's strict supersets, in
-    canonical order.  Row e holds the exact area of each block (superset
-    minus element) as the integers ``nums[e][i] / dens[e][i]``; a block is
-    the XOR of the two elements' masks.
+    set is element 0 and the full set the last one.  The table reads only
+    the poset's masks and builds the order itself, row by row: ``succ[e]``
+    lists the element indices of e's strict supersets, in canonical order,
+    with the same contents as the poset's ``succ``, which stays unbuilt.
+    Row e holds the exact area of each block (superset minus element) as
+    the integers ``nums[e][i] / dens[e][i]``; a block is the XOR of the two
+    elements' masks.
 
     A block's area is read from the kernel's span memo when the memo has
     it.  Otherwise it is computed from the block's two clipped chains (see
@@ -288,7 +293,10 @@ class ChainTable:
     The chains are transient: while row e is filled, only those of the
     supersets of the current size and of one member fewer are kept.
     Building a table raises ValueError, before computing any area, when
-    the poset has more than MAX_CHAIN_PAIRS comparable pairs.
+    the poset has more than MAX_CHAIN_PAIRS comparable pairs.  The pairs
+    are counted as the rows of the order arrive, smallest elements (with
+    the most supersets) first, so a poset far past the cap is refused
+    after a few of its rows.
 
     ``layers`` maps (objective, j) to DP layer j: the best value of a
     well-separated j-clustering of each element's complement, as reduced
@@ -302,15 +310,19 @@ class ChainTable:
     __slots__ = ("masks", "succ", "nums", "dens", "layers")
 
     def __init__(self, kernel: SpanKernel, poset: SeparatorPoset) -> None:
-        pairs = sum(mask.bit_count() for mask in poset.above)
-        if pairs > MAX_CHAIN_PAIRS:
-            raise ValueError(
-                f"well-separated DP: the chain table needs {pairs} block areas, more than "
-                f"MAX_CHAIN_PAIRS = {MAX_CHAIN_PAIRS}"
-            )
+        masks = poset.masks
+        rows, pairs = [], 0
+        for row in _above_rows(masks):
+            pairs += row.bit_count()
+            if pairs > MAX_CHAIN_PAIRS:
+                raise ValueError(
+                    f"well-separated DP: the chain table needs more block areas than "
+                    f"MAX_CHAIN_PAIRS = {MAX_CHAIN_PAIRS}"
+                )
+            rows.append(row)
+        succ = _decode_rows(rows)
         lines, spans = kernel.lines, kernel.spans
         n = len(lines)
-        masks = poset.masks
         mirrors = [(-v, -a) for v, a in lines]
         index = {mask: e for e, mask in enumerate(masks)}
         # below[s]: (element, index) for each element one member smaller than
@@ -329,7 +341,7 @@ class ChainTable:
         sizes = [mask.bit_count() for mask in masks]
         get = spans.get
         nums, dens = [], []
-        for e, (C, sups) in enumerate(zip(masks, poset.succ)):
+        for e, (C, sups) in enumerate(zip(masks, succ)):
             # The clipped chains of e's blocks by superset: ``chains`` for the
             # supersets of the current size, ``smaller`` for those one member
             # smaller, the only possible parents.  Every superset from here on
@@ -364,7 +376,7 @@ class ChainTable:
                 areas.append(area)
             nums.append(tuple([area.numerator for area in areas]))
             dens.append(tuple([area.denominator for area in areas]))
-        self.masks, self.succ = masks, poset.succ
+        self.masks, self.succ = masks, succ
         self.nums, self.dens = nums, dens
         # Layer 1 is the single block from an element to the full set, the
         # last strict superset of every other element; it is the same for

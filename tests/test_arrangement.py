@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from kinclust import (
+    SeparatorPoset,
     TrajectorySet,
     build_poset,
     compute_holes,
@@ -182,9 +183,12 @@ def _assert_sweep_matches_referees(S):
     # The poset depends on the holes' side-sets only, not on their order.
     shuffled = list(holes)
     random.Random(len(holes)).shuffle(shuffled)
+    # Equality compares the masks alone, so the order is compared as well.
     for order in (holes, holes[::-1], tuple(shuffled)):
-        assert build_poset(S, order) == reference
-    assert build_poset(S, holes[:3]) == poset_by_inclusion(S, holes[:3])
+        poset = build_poset(S, order)
+        assert poset == reference and poset.above == reference.above
+    poset, subset = build_poset(S, holes[:3]), poset_by_inclusion(S, holes[:3])
+    assert poset == subset and poset.above == subset.above
     # Each row's mask, read bit by bit, is the row of strict supersets by
     # pairwise comparison, and so is the decoded ``succ``.
     poset = build_poset(S, holes)
@@ -482,9 +486,27 @@ class TestSeparatorPoset:
         e, a, b, s = frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})
         bounded = tuple(h for h in compute_holes(two_verticals) if h.kind == "bounded")
         for holes, elements in (((), (e, s)), (bounded, (e, a, b, s))):
-            poset = build_poset(two_verticals, holes)
+            poset, reference = build_poset(two_verticals, holes), poset_by_inclusion(two_verticals, holes)
             assert poset.elements == elements
-            assert poset == poset_by_inclusion(two_verticals, holes)
+            assert poset == reference and poset.above == reference.above
+
+    def test_order_built_on_first_read(self):
+        S = make_instance(14100, 9)
+        poset = build_poset(S, compute_holes(S))
+        assert not {"above", "succ", "successors", "elements"} & set(vars(poset))
+        above = poset.above
+        assert vars(poset)["above"] is above and poset.above is above
+        assert "succ" not in vars(poset)
+
+    def test_equal_masks_are_equal_posets(self):
+        S = make_instance(14101, 9)
+        holes = compute_holes(S)
+        poset, reference = build_poset(S, holes), poset_by_inclusion(S, holes)
+        # The referee's order is filled in; the built one is not read yet.
+        assert "above" in vars(reference) and "above" not in vars(poset)
+        for twin in (reference, SeparatorPoset(poset.masks)):
+            assert twin == poset and hash(twin) == hash(poset)
+        assert build_poset(S, holes[:3]) != poset
 
 
 class TestSixTrajectoryDag:

@@ -38,6 +38,7 @@ from kinclust.geometry import _picked
 from kinclust.oracle import (
     bottom_leftmost_index,
     envelope_grid,
+    min_pair_area_by_pairs,
     poset_by_inclusion,
     span_area_grid,
 )
@@ -149,6 +150,18 @@ class TestPairRows:
         bsearch(S, 3)
         assert 0 < len(S.kernel.rows) < len(S)
 
+    @pytest.mark.parametrize(
+        "grid, n", [(1, 100), (2, 100), (10, 100), (100, 100), (1000, 100), (1000, 1000)]
+    )
+    def test_min_pair_area_matches_every_pair(self, grid, n):
+        # The midpoint pruning against the pass over every pair; on coarse
+        # grids many members share a midpoint, which prunes nothing.  The
+        # degenerate families (pencil-mid: every midpoint equal) are
+        # checked against ``pairwise_diameter`` above.
+        for seed in range(3 if n < 1000 else 1):
+            S = make_instance(19100 + seed, n, grid=grid)
+            assert S.kernel.min_pair_area() == min_pair_area_by_pairs(S)
+
     def test_min_pair_area_needs_two_members(self):
         with pytest.raises(ValueError):
             TrajectorySet.from_pairs([("0", "1")]).kernel.min_pair_area()
@@ -214,8 +227,10 @@ class TestIntMasks:
         kernel = S.kernel
         assert kernel.spans and all(type(key) is int for key in kernel.spans)
         poset = build_poset(S, compute_holes(S))
-        assert "succ" not in vars(poset)
-        assert ChainTable(kernel, poset).succ is poset.succ
+        table = ChainTable(kernel, poset)
+        # The table builds the order from the masks; the poset's stays unbuilt.
+        assert not {"above", "succ", "successors"} & set(vars(poset))
+        assert table.succ == poset.succ
         assert poset.succ is poset.succ
         assert "successors" not in vars(poset)
 

@@ -27,6 +27,7 @@ from kinclust.oracle import (
     goodseq_by_frontier,
     wellsep_dp_by_sets,
 )
+from kinclust.sum_diameter import ChainTable
 
 from conftest import (
     DEGENERATE_FAMILIES,
@@ -231,6 +232,17 @@ class TestWellSeparatedDpWorkGuard:
             with pytest.raises(ValueError, match=f"MAX_CHAIN_PAIRS = {self.pairs(S) - 1}"):
                 solve(S, 3)
         assert S.kernel.chain_table is None
+        assert not S.kernel.spans
+
+    def test_refusal_leaves_the_posets_order_unbuilt(self, monkeypatch):
+        # The table counts the pairs as it builds the rows itself, so a
+        # refused table builds no order on the poset it was given.
+        S = make_instance(4710, 10)
+        monkeypatch.setattr(sum_diameter, "MAX_CHAIN_PAIRS", 5)
+        poset = build_poset(S, compute_holes(S))
+        with pytest.raises(ValueError, match="MAX_CHAIN_PAIRS = 5"):
+            ChainTable(S.kernel, poset)
+        assert not {"above", "succ"} & set(vars(poset))
         assert not S.kernel.spans
 
     def test_cap_admits_exactly_p_pairs(self, monkeypatch):
