@@ -13,7 +13,6 @@ from kinclust import (
     hole_within_span,
     is_covered,
     is_well_separated,
-    side_partition,
 )
 
 # Two crossing diagonals and a slow near-vertical: crossings at
@@ -23,7 +22,7 @@ S = TrajectorySet.from_pairs([("0", "2"), ("2", "0"), ("0.2", "0.2")])
 holes = compute_holes(S)
 print(f"{len(holes)} holes:")
 for h in holes:
-    left, right = side_partition(S, h)
+    left, right = h.left_set, S.all_indices() - h.left_set
     print(f"  left={sorted(left)} right={sorted(right)} "
           f"t=({h.t_lo}, {h.t_hi}) {h.kind}")
 

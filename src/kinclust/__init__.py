@@ -18,8 +18,6 @@ from .arrangement import (
     hole_within_span,
     is_covered,
     is_well_separated,
-    separates,
-    side_partition,
 )
 from .geometry import (
     Clustering,
@@ -102,6 +100,4 @@ __all__ = [
     "sd_exact_goodseq",
     "sd_value",
     "sd_wellsep_dp",
-    "separates",
-    "side_partition",
 ]

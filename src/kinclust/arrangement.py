@@ -17,7 +17,7 @@ from math import gcd
 from operator import and_
 from typing import Iterable, Iterator, Literal
 
-from .geometry import TrajectorySet, _picked, as_cluster
+from .geometry import TrajectorySet, _picked
 
 HoleKind = Literal["bounded", "unbounded_left", "unbounded_right"]
 
@@ -28,8 +28,8 @@ _ONE = Fraction(1)
 # crossings) * n while the sweep counts the crossings in (0, 1); past the
 # cap ``compute_holes`` raises ValueError before it builds any hole.  Holes
 # keep int masks, so the members cost memory only once their left sets are
-# read (``kinclust holes``, ``render --holes``, ``is_well_separated``):
-# about 28 bytes of peak RSS per unit of the bound on CPython 3.11.7.
+# read (``kinclust holes``, ``render --holes``): about 28 bytes of peak RSS
+# per unit of the bound on CPython 3.11.7.
 # Seed-1 instances: the bound is 0.27 million at n=128, 16.2 million at
 # n=512 (0.28 s and +15 MB for the holes alone, 2.2 s and +454 MB with
 # every left set read) and 55 million at n=768, which the cap refuses.
@@ -172,9 +172,16 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     return tuple(Hole(mask, n, lo, hi) for mask, lo, hi in faces)
 
 
-def side_partition(S: TrajectorySet, h: Hole) -> tuple[frozenset, frozenset]:
-    """The two sides induced by a hole: (left set, right set)."""
-    return h.left_set, S.all_indices() - h.left_set
+def _hole_mask(S: TrajectorySet, h: Hole, caller: str) -> int:
+    """The mask of a hole, checked to be a hole of an instance of S's size."""
+    if h.n != len(S):
+        raise ValueError(f"{caller}: a hole of {h.n} trajectories, not {len(S)}")
+    return h.mask
+
+
+def _straddles(C: int, L: int) -> bool:
+    """True when cluster mask C meets both sides of the hole with left mask L."""
+    return 0 != C & L != C
 
 
 def hole_within_span(S: TrajectorySet, h: Hole, C: Iterable[int]) -> bool:
@@ -183,23 +190,16 @@ def hole_within_span(S: TrajectorySet, h: Hole, C: Iterable[int]) -> bool:
     During the hole's time window no trajectory enters the face, so C's
     span covers the face as soon as C has a member on each side of it.
     Tangential corner contact still counts as covered: it changes the
-    containment only on a set of measure zero.
+    containment only on a set of measure zero.  Raises ``ValueError`` on
+    a member that is not an index of ``S`` or a hole of another size.
     """
-    cluster = C if isinstance(C, frozenset) else frozenset(C)
-    return bool(cluster & h.left_set) and not cluster <= h.left_set
+    return _straddles(S.kernel.mask(C), _hole_mask(S, h, "hole_within_span"))
 
 
 def is_covered(S: TrajectorySet, h: Hole, clustering: Iterable[Iterable[int]]) -> bool:
-    """True when some cluster's span contains the hole."""
-    return any(hole_within_span(S, h, C) for C in clustering)
-
-
-def separates(S: TrajectorySet, h: Hole, C1: Iterable[int], C2: Iterable[int]) -> bool:
-    """True when the hole has C1 and C2 entirely on opposite sides."""
-    a = C1 if isinstance(C1, frozenset) else frozenset(C1)
-    b = C2 if isinstance(C2, frozenset) else frozenset(C2)
-    left, right = side_partition(S, h)
-    return (a <= left and b <= right) or (b <= left and a <= right)
+    """True when some cluster's span contains the hole, as ``hole_within_span``."""
+    L, mask = _hole_mask(S, h, "is_covered"), S.kernel.mask
+    return any(_straddles(mask(C), L) for C in clustering)
 
 
 def is_well_separated(S: TrajectorySet, clustering: Iterable[Iterable[int]]) -> bool:
@@ -208,14 +208,15 @@ def is_well_separated(S: TrajectorySet, clustering: Iterable[Iterable[int]]) -> 
     No cluster meets both sides of an uncovered hole, so each uncovered
     hole puts every cluster on one side, and two clusters are separated
     exactly when their tuples of sides over the uncovered holes differ.
-    Raises ``ValueError`` on a member that is not an index of ``S``.
+    Clusters and holes are compared as the kernel's int masks.  Raises
+    ``ValueError`` on a member that is not an index of ``S``.
     """
-    n = len(S)
-    clusters = [C for C in (as_cluster(C, n) for C in clustering) if C]
+    clusters = [C for C in map(S.kernel.mask, clustering) if C]
     if len(clusters) <= 1:
         return True
-    uncovered = [h.left_set for h in compute_holes(S) if not is_covered(S, h, clusters)]
-    return len({tuple(C <= left for left in uncovered) for C in clusters}) == len(clusters)
+    holes = [h.mask for h in compute_holes(S)]
+    uncovered = [L for L in holes if not any(_straddles(C, L) for C in clusters)]
+    return len({tuple(C & L == C for L in uncovered) for C in clusters}) == len(clusters)
 
 
 @dataclass(frozen=True)

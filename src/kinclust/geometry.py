@@ -200,12 +200,8 @@ def check_k(k: int, n: int) -> None:
 def check_clustering(S: TrajectorySet, clustering: Iterable[Iterable[int]]) -> Clustering:
     """Validate that ``clustering`` partitions the index set of ``S``."""
     clusters = tuple(as_cluster(c, len(S)) for c in clustering)
-    total = 0
-    union: set[int] = set()
-    for c in clusters:
-        total += len(c)
-        union |= c
-    if total != len(union) or union != set(range(len(S))):
+    union = frozenset().union(*clusters)
+    if sum(map(len, clusters)) != len(union) or len(union) != len(S):
         raise ValueError("clusters must be disjoint and cover every trajectory index")
     return clusters
 
@@ -378,8 +374,8 @@ class SpanKernel:
         self.chain_table = None
 
     def mask(self, members: Iterable[int]) -> int:
-        """The int mask of distinct valid member indices."""
-        return sum(map(self.bits.__getitem__, members))
+        """The int mask of a cluster of member indices, checked by ``as_cluster``."""
+        return sum(map(self.bits.__getitem__, as_cluster(members, len(self.bits))))
 
     def members(self, mask: int) -> frozenset:
         """The frozenset of member indices flagged in ``mask``."""
@@ -489,4 +485,4 @@ def diameter(S: TrajectorySet, C: Iterable[int]) -> Fraction:
     kernel, keyed by the cluster's int mask.
     """
     kernel = S.kernel
-    return kernel.span_area(kernel.mask(as_cluster(C, len(S))))
+    return kernel.span_area(kernel.mask(C))

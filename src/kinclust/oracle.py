@@ -7,6 +7,7 @@ exact referees for the kernel: the bottom-leftmost member by a direct
 minimum, the least pair area over every pair, span areas by trapezoids
 over the pairwise crossing-time grid, envelopes read off at slab
 midpoints, holes from a re-sort of the trajectories in every slab, the
+well-separation rule pair by pair over the holes' left sets, the
 side-set poset from frozenset comparisons, the well-separated chain DP
 over frozensets and Fractions, and the exact sum of diameters by a
 breadth-first frontier of whole clusterings.  Diameters come straight
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator
 
 from .arrangement import Hole, SeparatorPoset, compute_holes, is_well_separated
@@ -151,6 +153,27 @@ def brute_opt_wellsep(S: TrajectorySet, k: int, objective: Objective) -> Solutio
     return Solution(best.clusters, best.value, objective, "wellsep-brute")
 
 
+def separates(S: TrajectorySet, h: Hole, C1, C2) -> bool:
+    """True when the hole has C1 and C2 entirely on opposite sides."""
+    a, b, left, right = frozenset(C1), frozenset(C2), h.left_set, S.all_indices() - h.left_set
+    return (a <= left and b <= right) or (b <= left and a <= right)
+
+
+def well_separated_by_pairs(S: TrajectorySet, clustering) -> bool:
+    """The well-separation rule read pair by pair, over frozensets.
+
+    A hole is uncovered when every cluster lies inside its left set or
+    outside it, and each pair of nonempty clusters needs an uncovered
+    hole that ``separates`` them.  A referee for ``is_well_separated``,
+    which compares int masks instead.
+    """
+    clusters = [C for C in map(frozenset, clustering) if C]
+    uncovered = [
+        h for h in compute_holes(S) if all(C <= h.left_set or not C & h.left_set for C in clusters)
+    ]
+    return all(any(separates(S, h, a, b) for h in uncovered) for a, b in combinations(clusters, 2))
+
+
 def numeric_diameter(S: TrajectorySet, C, steps: int) -> Fraction:
     """Midpoint-rule Riemann sum of the cluster width, in exact rationals.
 
@@ -226,11 +249,10 @@ def crossing_time(a: Trajectory, b: Trajectory) -> Fraction | None:
 def _crossing_grid(S: TrajectorySet, members: list[int]) -> list[Fraction]:
     """0, 1, and every pairwise crossing time strictly between, sorted."""
     cuts = {_ZERO, _ONE}
-    for ai in range(len(members)):
-        for bi in range(ai + 1, len(members)):
-            t = crossing_time(S[members[ai]], S[members[bi]])
-            if t is not None and _ZERO < t < _ONE:
-                cuts.add(t)
+    for i, j in combinations(members, 2):
+        t = crossing_time(S[i], S[j])
+        if t is not None and _ZERO < t < _ONE:
+            cuts.add(t)
     return sorted(cuts)
 
 
@@ -251,10 +273,8 @@ def span_area_grid(S: TrajectorySet, C) -> Fraction:
 
     grid = _crossing_grid(S, members)
     widths = [width(t) for t in grid]
-    total = _ZERO
-    for k in range(1, len(grid)):
-        total += (widths[k - 1] + widths[k]) * (grid[k] - grid[k - 1]) / 2
-    return total
+    pieces = zip(grid, grid[1:], widths, widths[1:])
+    return sum(((w0 + w1) * (t1 - t0) / 2 for t0, t1, w0, w1 in pieces), _ZERO)
 
 
 def envelope_grid(S: TrajectorySet, C, side: Side) -> Envelope:
@@ -279,12 +299,8 @@ def envelope_grid(S: TrajectorySet, C, side: Side) -> Envelope:
         pick(members, key=lambda i: S[i].position((lo + hi) / 2))
         for lo, hi in zip(grid, grid[1:])
     ]
-    points = [(grid[0], boundary(grid[0]))]
-    for k in range(1, len(actives)):
-        if actives[k] != actives[k - 1]:
-            points.append((grid[k], boundary(grid[k])))
-    points.append((grid[-1], boundary(grid[-1])))
-    return Envelope(tuple(points))
+    breaks = [k for k in range(1, len(actives)) if actives[k] != actives[k - 1]]
+    return Envelope(tuple((grid[k], boundary(grid[k])) for k in [0, *breaks, len(grid) - 1]))
 
 
 def holes_slab(S: TrajectorySet) -> tuple[Hole, ...]:
@@ -307,10 +323,8 @@ def holes_slab(S: TrajectorySet) -> tuple[Hole, ...]:
     for lo, hi in zip(grid, grid[1:]):
         mid = (lo + hi) / 2
         order = sorted(range(n), key=lambda i: S[i].x0 + S[i].velocity * mid)
-        prefix: frozenset = frozenset()
         for size in range(n + 1):
-            if size > 0:
-                prefix = prefix | {order[size - 1]}
+            prefix = frozenset(order[:size])
             run = runs.get(prefix)
             if run is None:
                 runs[prefix] = [lo, hi]
@@ -397,12 +411,7 @@ def wellsep_dp_by_sets(S: TrajectorySet, k: int, objective: Objective) -> Soluti
         j -= 1
         if C != full:
             chain.append(C)
-    clusters = []
-    prev = empty
-    for nxt_set in chain + [full]:
-        clusters.append(nxt_set - prev)
-        prev = nxt_set
-    clustering = normalize_clustering(clusters)
+    clustering = normalize_clustering(b - a for a, b in zip([empty] + chain, chain + [full]))
     return Solution(clustering, values[empty], objective, "wellsep-dp", chain=tuple(chain))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .arrangement import compute_holes, side_partition
+from .arrangement import compute_holes
 from .geometry import Envelope, TrajectorySet, check_clustering, envelope
 
 _WIDTH, _HEIGHT = 640, 480  # pixels
@@ -91,9 +91,8 @@ def render_svg(
         for h in compute_holes(S):
             if h.kind != "bounded":
                 continue
-            left_set, right_set = side_partition(S, h)
-            wall_l = envelope(S, left_set, "right")
-            wall_r = envelope(S, right_set, "left")
+            wall_l = envelope(S, h.left_set, "right")
+            wall_r = envelope(S, S.all_indices() - h.left_set, "left")
             pts = _env_points(wall_l, h.t_lo, h.t_hi) + _env_points(wall_r, h.t_lo, h.t_hi)[::-1]
             parts.append(
                 polygon(pts, "fill:#dddddd;fill-opacity:0.6;stroke:#555555;stroke-width:1", "hole")

@@ -25,9 +25,10 @@ from .arrangement import (
     SeparatorPoset,
     _above_rows,
     _decode_rows,
+    _hole_mask,
+    _straddles,
     build_poset,
     compute_holes,
-    hole_within_span,
 )
 from .geometry import (
     Clustering,
@@ -62,20 +63,21 @@ class GoodSequence:
     steps: tuple[tuple[Hole, frozenset], ...]
 
     def replay(self, S: TrajectorySet) -> Clustering:
-        """Re-run the splits from {S}, validating every step."""
-        current = {S.all_indices()}
+        """Re-run the splits from {S} on int masks; ValueError on an invalid step."""
+        kernel = S.kernel
+        current = {(1 << len(S)) - 1}
         for hole, cluster in self.steps:
-            if cluster not in current:
+            L, C = _hole_mask(S, hole, "replay"), kernel.mask(cluster)
+            if C not in current:
                 raise ValueError(f"split of {sorted(cluster)}: not a current cluster")
-            if not hole_within_span(S, hole, cluster):
+            if not _straddles(C, L):
                 raise ValueError(
                     f"hole with left side {sorted(hole.left_set)} is not inside "
                     f"the span of {sorted(cluster)}"
                 )
-            current.remove(cluster)
-            current.add(cluster & hole.left_set)
-            current.add(cluster - hole.left_set)
-        return normalize_clustering(current)
+            current.remove(C)
+            current |= {C & L, C & ~L}
+        return normalize_clustering(map(kernel.members, current))
 
 
 # Most units of work one ``sd_exact_goodseq`` call may do: one per
@@ -450,12 +452,9 @@ def _wellsep_chain_dp(S: TrajectorySet, k: int, objective: Objective) -> Solutio
         j -= 1
         if e != full:
             chain.append(kernel.members(masks[e]))
-    clusters = []
-    prev = frozenset()
-    for nxt_set in chain + [S.all_indices()]:
-        clusters.append(nxt_set - prev)
-        prev = nxt_set
-    clustering = normalize_clustering(clusters)
+    # The clusters are the differences of consecutive sets of the chain.
+    nested = zip([frozenset()] + chain, chain + [S.all_indices()])
+    clustering = normalize_clustering(b - a for a, b in nested)
     return Solution(clustering, Fraction(num, den), objective, "wellsep-dp", chain=tuple(chain))
 
 

@@ -31,7 +31,6 @@ from kinclust import (
     sd_exact_goodseq,
     sd_value,
     sd_wellsep_dp,
-    separates,
 )
 from kinclust.max_diameter import GP_FACTOR
 from kinclust.oracle import (
@@ -41,6 +40,7 @@ from kinclust.oracle import (
     brute_opt_wellsep,
     enumerate_partitions,
     numeric_diameter,
+    separates,
     stirling2,
 )
 

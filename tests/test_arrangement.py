@@ -18,11 +18,16 @@ from kinclust import (
     md_wellsep_dp,
     sd_exact_goodseq,
     sd_wellsep_dp,
-    separates,
-    side_partition,
 )
 from kinclust import arrangement
-from kinclust.oracle import brute_opt_sd, crossing_time, holes_slab, poset_by_inclusion
+from kinclust.oracle import (
+    brute_opt_sd,
+    crossing_time,
+    holes_slab,
+    poset_by_inclusion,
+    separates,
+    well_separated_by_pairs,
+)
 
 from conftest import DEGENERATE_FAMILIES, make_instance
 
@@ -256,6 +261,26 @@ class TestHoleFormat:
         with pytest.raises(ValueError, match="build_poset"):
             build_poset(S, compute_holes(make_instance(19101, n)))
 
+    def test_predicates_decode_no_left_set(self, three_lines, quartet):
+        # The predicates compare masks; a fresh instance of each fixture
+        # keeps out the left sets that other tests read.
+        for S in (TrajectorySet(three_lines.trajectories), TrajectorySet(quartet.trajectories),
+                  make_instance(19002, 9)):
+            holes = compute_holes(S)
+            sol = sd_exact_goodseq(S, 3)
+            assert sol.sequence.replay(S) == sol.clustering
+            is_well_separated(S, sol.clustering)
+            for h in holes:
+                is_covered(S, h, sol.clustering)
+                hole_within_span(S, h, S.all_indices())
+            assert not any("left_set" in vars(h) for h in holes)
+
+    def test_well_separated_at_n_512_decodes_no_left_set(self):
+        S = make_instance(1, 512)
+        blocks = [S.kernel.leftmost[i:i + 128] for i in range(0, 512, 128)]
+        assert is_well_separated(S, blocks)
+        assert not any("left_set" in vars(h) for h in compute_holes(S))
+
 
 def hole_bound(S):
     """(n + 1 + crossings in (0, 1)) * n, the sweep's bound on left-set members."""
@@ -317,11 +342,13 @@ class TestHoleBudget:
 class TestSidePredicates:
     def test_unbounded_left_partition(self, three_lines):
         h = holes_by_left_set(three_lines)[frozenset()]
-        assert side_partition(three_lines, h) == (frozenset(), frozenset({0, 1, 2}))
+        assert h.left_set == frozenset()
+        assert three_lines.all_indices() - h.left_set == frozenset({0, 1, 2})
 
     def test_two_verticals_middle(self, two_verticals):
         h = holes_by_left_set(two_verticals)[frozenset({0})]
-        assert side_partition(two_verticals, h) == (frozenset({0}), frozenset({1}))
+        assert h.left_set == frozenset({0})
+        assert two_verticals.all_indices() - h.left_set == frozenset({1})
 
     def test_span_instance_has_low_pair_hole(self):
         # The two trajectories with black endpoints lie left of the shaded
@@ -332,7 +359,8 @@ class TestSidePredicates:
         table = holes_by_left_set(S)
         assert frozenset({0, 1}) in table
         h = table[frozenset({0, 1})]
-        assert side_partition(S, h) == (frozenset({0, 1}), frozenset({2, 3}))
+        assert h.left_set == frozenset({0, 1})
+        assert S.all_indices() - h.left_set == frozenset({2, 3})
 
     def test_hole_within_span_full_set(self, three_lines):
         for h in compute_holes(three_lines):
@@ -362,6 +390,34 @@ class TestSidePredicates:
                     gap_hi = min(S[i].position(t) for i in full - h.left_set)
                     geometric = left_env.value(t) <= gap_lo and right_env.value(t) >= gap_hi
                     assert hole_within_span(S, h, C) is geometric
+
+    @pytest.mark.parametrize("member", [6, -1, True])
+    def test_hole_within_span_rejects_members_that_are_not_indices(self, member):
+        S = make_instance(19200, 6)
+        h = next(h for h in compute_holes(S) if h.kind == "bounded")
+        with pytest.raises(ValueError, match="out of range|not an integer index"):
+            hole_within_span(S, h, {0, 2, member})
+
+    @pytest.mark.parametrize("member", [6, -1, True])
+    def test_is_covered_rejects_members_that_are_not_indices(self, member):
+        S = make_instance(19200, 6)
+        h = next(h for h in compute_holes(S) if h.kind == "bounded")
+        with pytest.raises(ValueError, match="out of range|not an integer index"):
+            is_covered(S, h, [{3}, {0, 2, member}])
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_hole_within_span_rejects_a_hole_of_another_size(self, n):
+        S = make_instance(19201, 6)
+        for h in compute_holes(make_instance(19202, n)):
+            with pytest.raises(ValueError, match=f"hole_within_span: a hole of {n} trajectories"):
+                hole_within_span(S, h, S.all_indices())
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_is_covered_rejects_a_hole_of_another_size(self, n):
+        S = make_instance(19201, 6)
+        for h in compute_holes(make_instance(19202, n)):
+            with pytest.raises(ValueError, match=f"is_covered: a hole of {n} trajectories"):
+                is_covered(S, h, [S.all_indices()])
 
     def test_is_covered(self, three_lines):
         holes = compute_holes(three_lines)
@@ -415,7 +471,7 @@ class TestWellSeparated:
     def test_quartet_pairing_is_not(self, quartet):
         assert not is_well_separated(quartet, [{0, 2}, {1, 3}])
 
-    @pytest.mark.parametrize("member", [99, -1, "a"])
+    @pytest.mark.parametrize("member", [99, -1, "a", True])
     def test_rejects_members_that_are_not_indices(self, member):
         verticals = TrajectorySet.from_pairs([("0", "0"), ("1", "1"), ("2", "2")])
         with pytest.raises(ValueError):
@@ -439,12 +495,7 @@ class TestWellSeparated:
             elif extra == 3:
                 clustering.append(set(rng.sample(range(n), rng.randint(1, n))))
             rng.shuffle(clustering)
-            clusters = [frozenset(C) for C in clustering if C]
-            uncovered = [h for h in compute_holes(S) if not is_covered(S, h, clusters)]
-            expected = all(
-                any(separates(S, h, a, b) for h in uncovered)
-                for a, b in combinations(clusters, 2)
-            )
+            expected = well_separated_by_pairs(S, clustering)
             assert is_well_separated(S, clustering) is expected, (trial, clustering)
             seen.add(expected)
         assert seen == {True, False}

@@ -118,6 +118,21 @@ class TestExactSolver:
         with pytest.raises(ValueError, match="is not inside the span"):
             GoodSequence(((outside, three_lines.all_indices()),)).replay(three_lines)
 
+    @pytest.mark.parametrize("member", [6, -1, True])
+    def test_replay_rejects_members_that_are_not_indices(self, member):
+        S = make_instance(2101, 6)
+        h = next(h for h in compute_holes(S) if h.kind == "bounded")
+        # With True in place of 1 the cluster equals the full index set.
+        cluster = frozenset([0, 2, 3, 4, 5, member])
+        with pytest.raises(ValueError, match="out of range|not an integer index"):
+            GoodSequence(((h, cluster),)).replay(S)
+
+    def test_replay_rejects_a_hole_of_another_size(self):
+        S = make_instance(2101, 6)
+        for h in compute_holes(make_instance(2102, 8)):
+            with pytest.raises(ValueError, match="replay: a hole of 8 trajectories"):
+                GoodSequence(((h, S.all_indices()),)).replay(S)
+
     def test_deep_split_tree_needs_no_recursion(self):
         # 28 parallel lines at k=28 give a split tree 27 levels deep; the
         # solver walks it on an explicit stack.  A fresh interpreter keeps
