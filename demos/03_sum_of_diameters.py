@@ -2,9 +2,9 @@
 
 The exact solver is a dynamic program over the split trees of
 hole-guided split sequences; the dynamic program over nested hole
-side-sets is polynomial but optimizes only over well-separated
-clusterings.  Both are compared against exhaustive
-enumeration on a small random instance.
+side-sets is polynomial but optimizes only over the clusterings along
+a chain of nested side-sets, all of them well separated.  Both are
+compared against exhaustive enumeration on a small random instance.
 """
 
 from kinclust import (

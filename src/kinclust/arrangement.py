@@ -17,7 +17,7 @@ from math import gcd
 from operator import and_
 from typing import Iterable, Iterator, Literal
 
-from .geometry import TrajectorySet, _picked
+from .geometry import TrajectorySet, _mask_members, _picked
 
 HoleKind = Literal["bounded", "unbounded_left", "unbounded_right"]
 
@@ -54,8 +54,7 @@ class Hole:
 
     @cached_property
     def left_set(self) -> frozenset:
-        # Frozen from a set, so that its table is sized to its members.
-        return frozenset(set(_picked(range(self.n), self.mask)))
+        return _mask_members(self.mask, self.n)
 
     @property
     def kind(self) -> HoleKind:
@@ -133,7 +132,8 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     place = [0] * n
     for k, i in enumerate(order):
         place[i] = k
-    bit = kernel.bits
+    # Member i's flag in the kernel's masks; n * n <= MAX_HOLE_MEMBERS here.
+    bit = [1 << (n - 1 - i) for i in range(n)]
 
     # faces[slot] = [left mask, t_lo, t_hi]; open_slot[size] is the slot of
     # the face whose left set is the current prefix of that size.  Faces
@@ -254,8 +254,7 @@ class SeparatorPoset:
 
     @cached_property
     def elements(self) -> tuple[frozenset, ...]:
-        index = range(self.n)
-        return tuple(frozenset(set(_picked(index, mask))) for mask in self.masks)
+        return tuple(_mask_members(mask, self.n) for mask in self.masks)
 
     @cached_property
     def succ(self) -> tuple[tuple[int, ...], ...]:
@@ -284,8 +283,14 @@ def _above_rows(masks: tuple[int, ...]) -> Iterator[int]:
     # Digit e*n + i of the concatenated n-digit numerals flags index i in
     # element e, so every n-th digit from i on is the base-2 numeral of
     # containing[i], in which element e carries the flag 1 << (m - 1 - e).
-    digits = "".join([f"{mask:0{n}b}" for mask in masks])
-    containing = [int(digits[i::n], 2) for i in range(n)]
+    # The numerals are joined 4096 elements at a time, each slice's digits
+    # appended to containing[i], so at most 4096 * n digits are alive.
+    containing = [0] * n
+    for start in range(0, m, 4096):
+        piece = masks[start:start + 4096]
+        digits = "".join([f"{mask:0{n}b}" for mask in piece])
+        for i in range(n):
+            containing[i] = containing[i] << len(piece) | int(digits[i::n], 2)
     for e, mask in enumerate(masks):
         yield reduce(and_, _picked(containing, mask), (1 << (m - 1 - e)) - 1)
 

@@ -284,6 +284,12 @@ def _picked(items, mask: int):
     return compress(items[len(items) - len(flags):], flags)
 
 
+def _mask_members(mask: int, n: int) -> frozenset:
+    """The frozenset of the indices among n flagged in ``mask`` (see SpanKernel)."""
+    # Frozen from a set, so that its table is sized to its members.
+    return frozenset(set(_picked(range(n), mask)))
+
+
 def _mirrored(lines: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """The lines of x -> -x, again sorted by slope, then intercept."""
     return [(-v, -a) for v, a in reversed(lines)]
@@ -338,11 +344,11 @@ class SpanKernel:
 
     One int-mask format serves the hole sweep, the side-set poset, the
     chain table and the span memo: a cluster is the mask in which member
-    i carries the flag ``bits[i] = 1 << (n - 1 - i)``, so the mask's
-    binary numeral reads the members in index order, and of two clusters
-    of one size the one with the greater mask has the lesser sorted
-    indices.  ``mask`` and ``members`` convert between a frozenset of
-    indices and its mask.
+    i carries the flag ``1 << (n - 1 - i)``, so the mask's binary numeral
+    reads the members in index order, and of two clusters of one size the
+    one with the greater mask has the lesser sorted indices.  ``mask`` and
+    ``members`` convert between a frozenset of indices and its mask, each
+    in time linear in n.
 
     ``spans`` memoizes span areas by mask and ``rows`` the pairwise
     span-area rows of the members asked for, each a pair of parallel int
@@ -355,7 +361,7 @@ class SpanKernel:
     instance.
     """
 
-    __slots__ = ("den", "lines", "bits", "leftmost", "spans", "rows", "holes", "chain_table")
+    __slots__ = ("den", "lines", "leftmost", "spans", "rows", "holes", "chain_table")
 
     def __init__(self, trajectories: tuple[Trajectory, ...]) -> None:
         den = math.lcm(*(x.denominator for s in trajectories for x in (s.x0, s.x1)))
@@ -363,11 +369,9 @@ class SpanKernel:
             (s.x0.numerator * (den // s.x0.denominator), s.x1.numerator * (den // s.x1.denominator))
             for s in trajectories
         ]
-        n = len(ends)
         self.den = den
         self.lines = tuple((x1 - x0, x0) for x0, x1 in ends)
-        self.bits = tuple(1 << (n - 1 - i) for i in range(n))
-        self.leftmost = tuple(sorted(range(n), key=ends.__getitem__))
+        self.leftmost = tuple(sorted(range(len(ends)), key=ends.__getitem__))
         self.spans: dict[int, Fraction] = {}
         self.rows: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self.holes = None
@@ -375,12 +379,14 @@ class SpanKernel:
 
     def mask(self, members: Iterable[int]) -> int:
         """The int mask of a cluster of member indices, checked by ``as_cluster``."""
-        return sum(map(self.bits.__getitem__, as_cluster(members, len(self.bits))))
+        digits = bytearray(b"0") * len(self.lines)  # the mask's binary numeral
+        for i in as_cluster(members, len(digits)):
+            digits[i] = 49  # b"1"
+        return int(digits or b"0", 2)
 
     def members(self, mask: int) -> frozenset:
         """The frozenset of member indices flagged in ``mask``."""
-        # Frozen from a set, so that its table is sized to its members.
-        return frozenset(set(_picked(range(len(self.bits)), mask)))
+        return _mask_members(mask, len(self.lines))
 
     def span_area(self, mask: int) -> Fraction:
         """Span area of the members flagged in ``mask``, memoized by mask.
@@ -393,10 +399,13 @@ class SpanKernel:
             return _ZERO
         area = self.spans.get(mask)
         if area is None:
-            ordered = sorted(_picked(self.lines, mask))
-            upper, lower = _upper_chain(ordered), _upper_chain(_mirrored(ordered))
-            area = self.spans[mask] = _chains_area(upper, lower, self.den)
+            area = self.spans[mask] = _chains_area(*self.chains(mask), self.den)
         return area
+
+    def chains(self, mask: int) -> tuple[list, list]:
+        """The clipped upper chains of the flagged members' lines and of their mirrors."""
+        ordered = sorted(_picked(self.lines, mask))
+        return _upper_chain(ordered), _upper_chain(_mirrored(ordered))
 
     def pair_row(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Member i's pairwise span areas to every member j, as int pairs.

@@ -5,12 +5,17 @@ Two routes:
 * an exact dynamic program over the binary split trees that hole-guided
   split sequences build, with one state per reachable cluster and number
   of clusters, optimal for fixed k;
-* a dynamic program over nested hole side-sets that is exact among
-  well-separated clusterings (every pair of clusters separated by an
-  uncovered hole) and polynomial even when k is part of the input.
+* a dynamic program over nested hole side-sets, polynomial even when k
+  is part of the input, that is exact over the clusterings whose clusters
+  are the differences of a chain of nested side-sets.  Every such
+  clustering is well separated (every pair of clusters separated by an
+  uncovered hole), but not every well-separated clustering is such a
+  chain: on the n=8 instance (0,0) (0,3) (1,3) (2,1) (2,2) (2,3) (3,0)
+  (3,1) at k=4 the program gives 17/12, while the well-separated
+  {0}, {1}, {2, 3, 4, 5, 7}, {6} has sum 4/3.
 
 The same dynamic program, with max in place of sum, optimizes the maximum
-cluster diameter over well-separated clusterings.
+cluster diameter over the same chain clusterings.
 """
 
 from __future__ import annotations
@@ -38,8 +43,6 @@ from .geometry import (
     TrajectorySet,
     _ZERO,
     _chains_area,
-    _mirrored,
-    _picked,
     _upper_chain,
     check_k,
     diameter,
@@ -291,7 +294,7 @@ class ChainTable:
     parent's chain never carries the maximum inside (0, 1), and adding a
     line cannot change that.  A block with no such parent, or whose
     parents were all read from the memo and so have no chains, starts
-    from all of its lines, sorted by slope.
+    from all of its lines (``SpanKernel.chains``, as in ``span_area``).
     The chains are transient: while row e is filled, only those of the
     supersets of the current size and of one member fewer are kept.
     Building a table raises ValueError, before computing any area, when
@@ -371,8 +374,7 @@ class ChainTable:
                             lower = _upper_chain(sorted((*parent[1], mirrors[i])))
                             break
                     else:
-                        ordered = sorted(_picked(lines, D))
-                        upper, lower = _upper_chain(ordered), _upper_chain(_mirrored(ordered))
+                        upper, lower = kernel.chains(D)
                     chains[s] = (upper, lower)
                     area = spans[D] = _chains_area(upper, lower, kernel.den)
                 areas.append(area)
@@ -459,17 +461,21 @@ def _wellsep_chain_dp(S: TrajectorySet, k: int, objective: Objective) -> Solutio
 
 
 def sd_wellsep_dp(S: TrajectorySet, k: int) -> Solution:
-    """Optimal well-separated clustering for the sum of diameters.
+    """Optimal chain clustering for the sum of diameters.
 
     Dynamic program over chains in the side-set poset; the traceback chain
-    yields the clustering as consecutive set differences.
+    yields the clustering as consecutive set differences.  The result is
+    well separated, and optimal among the clusterings of that chain form,
+    which some well-separated clusterings are not (see the module
+    docstring).
     """
     return _wellsep_chain_dp(S, k, "sd")
 
 
 def md_wellsep_dp(S: TrajectorySet, k: int) -> Solution:
-    """Optimal well-separated clustering for the maximum diameter.
+    """Optimal chain clustering for the maximum diameter.
 
-    Same chain dynamic program as the sum objective with + replaced by max.
+    Same chain dynamic program as the sum objective with + replaced by max,
+    and exact over the same chain clusterings.
     """
     return _wellsep_chain_dp(S, k, "md")

@@ -119,6 +119,18 @@ INTERLEAVED_QUARTET = (
 )
 
 
+# Instances on which the well-separated DP's sum of diameters lies strictly
+# above the exact optimum, by name: the k of the gap and the (x0, x1) pairs.
+# On each, some well-separated clustering also beats the DP, because its
+# clusters are not the differences of any chain of nested hole side-sets:
+# on "n8-k4" that is {0}, {1}, {2, 3, 4, 5, 7}, {6}, at 4/3 against 17/12.
+WELLSEP_GAP_CORPUS = {
+    "n8-k4": (4, [(0, 0), (0, 3), (1, 3), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1)]),
+    "n9-k5": (5, [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (2, 0), (3, 0), (3, 3)]),
+    "n9-k4": (4, [(0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (3, 0), (3, 3)]),
+}
+
+
 @pytest.fixture(scope="session")
 def quartet() -> TrajectorySet:
     return TrajectorySet.from_pairs(INTERLEAVED_QUARTET)

@@ -12,6 +12,7 @@ import pickle
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -105,6 +106,8 @@ class TestKernelMatchesReferees:
         for bad in ({0, 5}, {-1, 2}, {0, True}, {0, 1.0}):
             with pytest.raises(ValueError):
                 diameter(S, bad)
+            with pytest.raises(ValueError):
+                S.kernel.mask(bad)
         # A valid cluster memoized first must not let an equal frozenset
         # with non-int members through.
         diameter(S, {0, 1})
@@ -393,6 +396,35 @@ def test_mask_round_trip(pairs, data):
     assert kernel.members(mask) == C
     assert mask.bit_count() == len(C)
     assert list(_picked(kernel.lines, mask)) == [kernel.lines[i] for i in sorted(C)]
+
+
+class TestMaskCodec:
+    """``kernel.mask`` and ``kernel.members`` in time and memory linear in n."""
+
+    def test_mask_memory_is_linear_in_n(self):
+        # A table of the n flags 1 << (n - 1 - i) would hold n² / 2 bits,
+        # over 25 MB at this n; the kernel and the mask take about 6 MB.
+        n = 20_000
+        S = make_instance(1, n, grid=100)
+        tracemalloc.start()
+        try:
+            mask = S.kernel.mask(range(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mask == (1 << n) - 1
+        assert peak <= 10_000_000
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1000])
+    def test_round_trips(self, n):
+        kernel = TrajectorySet.from_pairs([(i, 0) for i in range(n)]).kernel
+        rng = random.Random(n)
+        clusters = [(), range(n), (0,), (n - 1,), {0, n - 1}]
+        clusters += [rng.sample(range(n), rng.randint(1, n)) for _ in range(20)]
+        for C in map(frozenset, clusters):
+            mask = kernel.mask(C)
+            assert mask == sum(1 << (n - 1 - i) for i in C)
+            assert kernel.members(mask) == C
 
 
 _TRAJECTORY = st.builds(Trajectory, _COORD, _COORD)

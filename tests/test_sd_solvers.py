@@ -1,6 +1,7 @@
 """Sum-of-diameters solvers against the brute-force referee."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,12 +26,14 @@ from kinclust.oracle import (
     brute_opt_sd,
     brute_opt_wellsep,
     goodseq_by_frontier,
+    well_separated_by_pairs,
     wellsep_dp_by_sets,
 )
 from kinclust.sum_diameter import ChainTable
 
 from conftest import (
     DEGENERATE_FAMILIES,
+    WELLSEP_GAP_CORPUS,
     make_instance,
     mirrored,
     permuted,
@@ -376,6 +379,44 @@ class TestWellSeparatedDp:
             chain = (frozenset(),) + sol.chain + (S.all_indices(),)
             for a, b in zip(chain, chain[1:]):
                 assert a < b
+
+
+@pytest.mark.parametrize("name", sorted(WELLSEP_GAP_CORPUS))
+class TestWellSeparatedGapCorpus:
+    """Instances where the exact solver beats the well-separated DP.
+
+    The DP is exact over clusterings whose clusters are the differences
+    of a chain of nested side-sets; some well-separated clusterings are
+    not of that form, and here one of them beats the DP.
+    """
+
+    @staticmethod
+    def _instance(name):
+        k, pairs = WELLSEP_GAP_CORPUS[name]
+        return TrajectorySet.from_pairs(pairs), k
+
+    def test_exact_solver_is_strictly_below_the_dp(self, name):
+        S, k = self._instance(name)
+        exact = sd_exact_goodseq(S, k)
+        assert exact.value == brute_opt_sd(S, k).value < sd_wellsep_dp(S, k).value
+        assert exact.sequence.replay(S) == exact.clustering
+
+    def test_dp_matches_its_referee_and_is_well_separated(self, name):
+        S, k = self._instance(name)
+        sol = sd_wellsep_dp(S, k)
+        assert sol == wellsep_dp_by_sets(S, k, "sd")
+        assert is_well_separated(S, sol.clustering)
+
+    def test_a_well_separated_clustering_beats_the_dp(self, name):
+        S, k = self._instance(name)
+        best = brute_opt_wellsep(S, k, "sd")
+        assert best.value < sd_wellsep_dp(S, k).value
+        assert is_well_separated(S, best.clustering)
+        assert well_separated_by_pairs(S, best.clustering)
+        # No order of its clusters makes every prefix union a side-set.
+        sides = set(build_poset(S, compute_holes(S)).elements)
+        for order in itertools.permutations(best.clustering):
+            assert not all(u in sides for u in itertools.accumulate(order, frozenset.union))
 
 
 class TestDegenerateInstances:
