@@ -19,6 +19,7 @@ from .instances import (
     InstanceError,
     dumps_instance,
     generate_instance,
+    load_json,
     parse_instance,
     scalar_decimal,
 )
@@ -111,9 +112,7 @@ def _cmd_render(args) -> int:
     if args.holes:
         svg = render_svg(S, overlay="holes")
     elif args.clusters:
-        import json
-
-        doc = json.loads(Path(args.clusters).read_text())
+        doc = load_json(Path(args.clusters).read_bytes())
         clusters = doc.get("clusters") if isinstance(doc, dict) else None
         if not isinstance(clusters, list) or not all(
             isinstance(c, list) and all(type(i) is int for i in c) for c in clusters

@@ -46,7 +46,10 @@ def _parse_scalar(text: str) -> Fraction:
         digits = match[1].replace("_", "").lstrip("0")
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
             raise ValueError(f"decimal exponent beyond +-{MAX_EXPONENT} in scalar literal")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar literal {text!r}") from None
 
 
 def as_scalar(value: ScalarLike) -> Fraction:
@@ -54,7 +57,8 @@ def as_scalar(value: ScalarLike) -> Fraction:
 
     Strings may be decimal literals ("0.25", "-1.5e-2") or ratios ("3/4");
     both parse exactly.  A decimal exponent beyond MAX_EXPONENT in
-    magnitude raises ValueError instead of building a huge power of ten.
+    magnitude raises ValueError instead of building a huge power of ten,
+    and so does a zero denominator ("1/0").
     Floats are rejected on purpose: converting one would bake binary
     rounding error into an otherwise exact pipeline.
     """
@@ -350,18 +354,17 @@ class SpanKernel:
     ``members`` convert between a frozenset of indices and its mask, each
     in time linear in n.
 
-    ``spans`` memoizes span areas by mask and ``rows`` the pairwise
-    span-area rows of the members asked for, each a pair of parallel int
-    tuples of numerators and denominators (see ``pair_row``); ``holes``
-    holds the arrangement's hole table once computed (see
-    ``arrangement``), and ``chain_table`` the block areas and layers of
-    the well-separated dynamic program (see ``sum_diameter.ChainTable``),
-    which keep the side-set poset's masks and its index successors; the
-    poset itself is not kept.  The kernel lives and dies with its
-    instance.
+    ``spans`` memoizes span areas by mask; ``holes`` holds the
+    arrangement's hole table once computed (see ``arrangement``), and
+    ``chain_table`` the block areas and layers of the well-separated
+    dynamic program (see ``sum_diameter.ChainTable``), which keep the
+    side-set poset's masks and its index successors; the poset itself is
+    not kept.  Pairwise span areas are not memoized: the max-diameter
+    solvers compute each pair they compare from ``lines`` (see
+    ``_pair_terms``).  The kernel lives and dies with its instance.
     """
 
-    __slots__ = ("den", "lines", "leftmost", "spans", "rows", "holes", "chain_table")
+    __slots__ = ("den", "lines", "leftmost", "spans", "holes", "chain_table")
 
     def __init__(self, trajectories: tuple[Trajectory, ...]) -> None:
         den = math.lcm(*(x.denominator for s in trajectories for x in (s.x0, s.x1)))
@@ -373,7 +376,6 @@ class SpanKernel:
         self.lines = tuple((x1 - x0, x0) for x0, x1 in ends)
         self.leftmost = tuple(sorted(range(len(ends)), key=ends.__getitem__))
         self.spans: dict[int, Fraction] = {}
-        self.rows: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self.holes = None
         self.chain_table = None
 
@@ -406,27 +408,6 @@ class SpanKernel:
         """The clipped upper chains of the flagged members' lines and of their mirrors."""
         ordered = sorted(_picked(self.lines, mask))
         return _upper_chain(ordered), _upper_chain(_mirrored(ordered))
-
-    def pair_row(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Member i's pairwise span areas to every member j, as int pairs.
-
-        Returns parallel tuples ``(nums, dens)`` in index order: entry j is
-        ``nums[j] / dens[j]``, equal to ``pairwise_diameter(S[i], S[j])``,
-        left unreduced, and every denominator is positive, so callers
-        compare entries by cross-multiplication.  The row is memoized, and
-        only rows asked for are ever built.
-        """
-        row = self.rows.get(i)
-        if row is None:
-            den2 = 2 * self.den
-            v, a = self.lines[i]
-            nums, dens = [], []
-            for w, b in self.lines:
-                p, q = _pair_terms(a - b, a - b + v - w)
-                nums.append(p)
-                dens.append(den2 * q)
-            row = self.rows[i] = (tuple(nums), tuple(dens))
-        return row
 
     def min_pair_area(self) -> Fraction:
         """Smallest span area over all pairs of at least two members.

@@ -52,17 +52,24 @@ def scalar_decimal(v: Fraction) -> str:
         return str(Decimal(v.numerator) / Decimal(v.denominator))
 
 
+def load_json(data: bytes | str):
+    """The value of a JSON document; InstanceError if it is malformed or nested too deeply."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InstanceError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except RecursionError:
+        raise InstanceError("JSON document nested too deeply") from None
+
+
 def parse_instance(data: bytes | str) -> TrajectorySet:
     """Parse an instance document into an exact TrajectorySet.
 
     Index order follows file order.  Errors carry the offending location
     (JSON line/column, or the trajectory index and field).
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InstanceError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    doc = load_json(data)
     if not isinstance(doc, dict):
         raise InstanceError("top-level value must be an object")
     name = doc.get("name")
@@ -87,7 +94,7 @@ def parse_instance(data: bytes | str) -> TrajectorySet:
                 )
             try:
                 values[field] = as_scalar(raw)
-            except (ValueError, ZeroDivisionError) as e:
+            except ValueError as e:
                 raise InstanceError(f"trajectories[{i}].{field}: cannot parse {raw!r}") from e
         trajectories.append(Trajectory(values["x0"], values["x1"]))
     try:

@@ -18,6 +18,7 @@ from .geometry import (
     ScalarLike,
     Solution,
     TrajectorySet,
+    _pair_terms,
     as_scalar,
     check_k,
     diameter,
@@ -48,24 +49,36 @@ def gp(S: TrajectorySet, D: ScalarLike) -> Clustering:
     Repeatedly take the bottom-leftmost remaining trajectory s and make a
     cluster of every remaining s' with pairwise diameter at most D (s
     itself included, its self-distance being zero).  Clusters come out in
-    the order their representatives were picked.  Pairwise diameters are
-    read from the kernel's memoized integer row of each representative
-    and tested against D = Dn / Dd as p * Dd <= Dn * q, without a
-    Fraction per entry.
+    the order their representatives were picked.  A representative's
+    pairwise diameters p / (2 den q) to the members still left (see
+    ``_pair_terms``) are tested against D = Dn / Dd as
+    p * Dd <= Dn * 2 den * q, with no Fraction per entry and no row kept.
     """
     D = as_scalar(D)
     if D < 0:
         raise ValueError(f"threshold D must be nonnegative, got {D}")
-    Dn, Dd = D.numerator, D.denominator
     kernel = S.kernel
+    lines, Dd, bound = kernel.lines, D.denominator, D.numerator * 2 * kernel.den
     rest = set(range(len(S)))
     clusters = []
     for s in kernel.leftmost:
         if s in rest:
-            nums, dens = kernel.pair_row(s)
-            members = frozenset([j for j in rest if nums[j] * Dd <= Dn * dens[j]])
-            rest -= members
-            clusters.append(members)
+            v, a = lines[s]
+            members = []
+            # _pair_terms written out: a call per entry made bsearch up to 40%
+            # slower at n = 32-64, a row built and then compared 20-30%.
+            for j in rest:
+                w, b = lines[j]
+                d0 = a - b
+                d1 = d0 + v - w
+                if (
+                    abs(d0 + d1) * Dd <= bound
+                    if d0 * d1 >= 0
+                    else (d0 * d0 + d1 * d1) * Dd <= bound * abs(d0 - d1)
+                ):
+                    members.append(j)
+            rest.difference_update(members)
+            clusters.append(frozenset(members))
     return tuple(clusters)
 
 
@@ -130,32 +143,31 @@ def kcenter_gonzalez(S: TrajectorySet, k: int) -> tuple[CenterSet, Clustering]:
     index).  Every trajectory is then assigned to its nearest center,
     again with ties to the lowest center index, so the induced clusters
     are disjoint.  Each member keeps its nearest distance as an integer
-    pair p / q and its owning center; a new center takes a member over
-    when (distance, center index) is lexicographically smaller, compared
-    by cross-multiplication.  The owners are the assignment, so each
-    center's kernel row is read once.
+    pair p / q (see ``_pair_terms``), 1/0 before the seed, and its owning
+    center; a new center takes a member over when (distance, center
+    index) is lexicographically smaller, compared by cross-multiplication.
+    The owners are the assignment, and each center's distances are
+    computed once, when it is picked.
     """
     n = len(S)
     check_k(k, n)
 
     kernel = S.kernel
-    seed = kernel.leftmost[0]
-    centers = [seed]
-    nums, dens = kernel.pair_row(seed)
-    near_p, near_q = list(nums), list(dens)
-    owner = [seed] * n
-    while len(centers) < k:
-        far = 0
-        for i in range(1, n):
-            if near_p[i] * near_q[far] > near_p[far] * near_q[i]:
-                far = i
-        centers.append(far)
-        nums, dens = kernel.pair_row(far)
-        for i in range(n):
-            p, q = nums[i], dens[i]
+    near_p, near_q, owner = [1] * n, [0] * n, [n] * n
+    centers = [kernel.leftmost[0]]
+    for c in centers:  # the list grows to k centers
+        v, a = kernel.lines[c]
+        for i, (w, b) in enumerate(kernel.lines):
+            p, q = _pair_terms(a - b, a - b + v - w)
             cmp = p * near_q[i] - near_p[i] * q
-            if cmp < 0 or (cmp == 0 and far < owner[i]):
-                near_p[i], near_q[i], owner[i] = p, q, far
+            if cmp < 0 or (cmp == 0 and c < owner[i]):
+                near_p[i], near_q[i], owner[i] = p, q, c
+        if len(centers) < k:
+            far = 0
+            for i in range(1, n):
+                if near_p[i] * near_q[far] > near_p[far] * near_q[i]:
+                    far = i
+            centers.append(far)
 
     groups: dict[int, set[int]] = {c: set() for c in centers}
     for i, c in enumerate(owner):

@@ -44,6 +44,10 @@ def value_of(output: str, label: str) -> Fraction:
     return Fraction(m.group(1))
 
 
+def assert_one_error_line(err: str, fragment: str) -> None:
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err, err
+
+
 @pytest.fixture()
 def verticals_file(tmp_path):
     path = tmp_path / "two_verticals.json"
@@ -208,6 +212,15 @@ class TestMd:
         assert main(["md", "bsearch", quartet_file, "-k", "2", "--eps", "1e-4301"]) == 1
         assert main(["md", "gp", quartet_file, "-D", "1e4301"]) == 1
         assert "exponent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["md", "gp", "-D", "1/0"], ["md", "bsearch", "-k", "2", "--eps", "1/0"]],
+        ids=["gp-threshold", "bsearch-eps"],
+    )
+    def test_zero_denominator_options_rejected(self, quartet_file, capsys, argv):
+        assert main([*argv[:2], quartet_file, *argv[2:]]) == 1
+        assert_one_error_line(capsys.readouterr().err, "zero denominator")
 
 
 # Exact values that recur in the golden outputs below.
@@ -526,6 +539,13 @@ class TestGen:
 
         assert len(parse_instance(out1.read_bytes())) == 6
 
+    def test_zero_denominator_range_rejected(self, tmp_path, capsys):
+        out = tmp_path / "z.json"
+        argv = ["gen", "-n", "4", "--seed", "1", "--x0-range", "0", "1/0", "-o", str(out)]
+        assert main(argv) == 1
+        assert_one_error_line(capsys.readouterr().err, "zero denominator")
+        assert not out.exists()
+
     def test_custom_ranges(self, tmp_path):
         out = tmp_path / "c.json"
         assert (
@@ -579,6 +599,14 @@ class TestRender:
         assert main(["render", quartet_file, "--clusters", str(clusters), "-o", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: clusters file must be") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_deeply_nested_clusters_file(self, quartet_file, tmp_path, capsys):
+        clusters = tmp_path / "clusters.json"
+        clusters.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "q.svg"
+        assert main(["render", quartet_file, "--clusters", str(clusters), "-o", str(out)]) == 1
+        assert_one_error_line(capsys.readouterr().err, "nested too deeply")
         assert not out.exists()
 
 

@@ -120,6 +120,11 @@ class TestAsScalar:
         assert as_scalar("3/4") == Fraction(3, 4)
         assert as_scalar("0.25") == Fraction(1, 4)
 
+    @pytest.mark.parametrize("raw", ["1/0", "-3/0", "0/0"])
+    def test_zero_denominator_is_a_value_error(self, raw):
+        with pytest.raises(ValueError, match="zero denominator"):
+            as_scalar(raw)
+
 
 class TestTrajectorySet:
     def test_duplicate_rejected(self):

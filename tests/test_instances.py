@@ -47,6 +47,8 @@ class TestParse:
             ('{"trajectories":[{"x0":"0","x1":"abc"}]}', "trajectories[0].x1"),
             ('{"trajectories":[{"x0":"0","x1":"1/0"}]}', "trajectories[0].x1"),
             ('{"name": 3, "trajectories":[{"x0":"0","x1":"1"}]}', "name"),
+            # json raises RecursionError here, not JSONDecodeError.
+            pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="deep-nesting"),
         ],
     )
     def test_malformed_documents(self, doc, fragment):

@@ -29,6 +29,7 @@ from kinclust import (
     diameter,
     dumps_instance,
     envelope,
+    gp,
     md_wellsep_dp,
     pairwise_diameter,
     parse_instance,
@@ -116,51 +117,50 @@ class TestKernelMatchesReferees:
 
 
 class TestPairRows:
-    """The kernel's integer pairwise rows against ``pairwise_diameter``."""
+    """Pairwise span areas: the kernel's least pair, and nothing kept per pair."""
 
     @staticmethod
-    def _assert_rows_exact(S):
-        kernel = S.kernel
-        n = len(S)
-        least = None
-        for i in range(n):
-            row = kernel.pair_row(i)
-            nums, dens = row
-            assert len(nums) == len(dens) == n
-            for j, (num, den) in enumerate(zip(nums, dens)):
-                assert type(num) is int and type(den) is int and den > 0
-                area = Fraction(num, den)
-                assert area == pairwise_diameter(S[i], S[j])
-                if j != i and (least is None or area < least):
-                    least = area
-            assert kernel.pair_row(i) is row  # memoized
-        if n >= 2:
-            assert kernel.min_pair_area() == least
+    def _assert_least_pair(S):
+        areas = [pairwise_diameter(S[i], S[j]) for i in range(len(S)) for j in range(i)]
+        if not areas:
+            with pytest.raises(ValueError):
+                S.kernel.min_pair_area()
+            return
+        assert S.kernel.min_pair_area() == min(areas) == min_pair_area_by_pairs(S)
 
     @pytest.mark.parametrize("n", [2, 9, 33, 64])
     def test_random_instances(self, n):
         for seed in range(3):
-            self._assert_rows_exact(make_instance(19000 + seed, n))
+            self._assert_least_pair(make_instance(19000 + seed, n))
 
     @pytest.mark.parametrize(
         "pairs", list(DEGENERATE_FAMILIES.values()), ids=list(DEGENERATE_FAMILIES)
     )
     def test_degenerate_families(self, pairs):
-        self._assert_rows_exact(TrajectorySet.from_pairs(pairs))
+        # pencil-mid puts every midpoint at one point, which prunes nothing.
+        self._assert_least_pair(TrajectorySet.from_pairs(pairs))
 
-    def test_only_rows_asked_for_are_kept(self):
-        S = make_instance(5, 40)
-        bsearch(S, 3)
-        assert 0 < len(S.kernel.rows) < len(S)
+    def test_max_diameter_keeps_no_pair_areas(self):
+        # gp at D = 0 makes every member a representative; a memo of each
+        # representative's pairwise areas would hold about 5 MB at this n.
+        S = make_instance(1, 300, grid=100)
+        S.kernel  # built before tracing: only what the solvers keep is measured
+        tracemalloc.start()
+        try:
+            clusters = gp(S, 0)
+            solution = bsearch(S, 150)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(clusters) == 300 and len(solution.clustering) <= 150
+        assert held <= 500_000
 
     @pytest.mark.parametrize(
         "grid, n", [(1, 100), (2, 100), (10, 100), (100, 100), (1000, 100), (1000, 1000)]
     )
     def test_min_pair_area_matches_every_pair(self, grid, n):
         # The midpoint pruning against the pass over every pair; on coarse
-        # grids many members share a midpoint, which prunes nothing.  The
-        # degenerate families (pencil-mid: every midpoint equal) are
-        # checked against ``pairwise_diameter`` above.
+        # grids many members share a midpoint, which prunes nothing.
         for seed in range(3 if n < 1000 else 1):
             S = make_instance(19100 + seed, n, grid=grid)
             assert S.kernel.min_pair_area() == min_pair_area_by_pairs(S)
