@@ -15,7 +15,7 @@ from functools import cached_property, reduce
 from itertools import groupby
 from math import gcd
 from operator import and_
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Literal
 
 from .geometry import TrajectorySet, _mask_members, _picked
 
@@ -34,6 +34,18 @@ _ONE = Fraction(1)
 # n=512 (0.28 s and +15 MB for the holes alone, 2.2 s and +454 MB with
 # every left set read) and 55 million at n=768, which the cap refuses.
 MAX_HOLE_MEMBERS = 20_000_000
+
+# Most comparable pairs P of side-sets that a poset's order may hold, one
+# block area each in the chain table; past the cap every reader of the
+# order raises ValueError (see SeparatorPoset).  A cold table costs about
+# 8 microseconds and 120 bytes of peak RSS per pair on CPython 3.11.7.
+# Seed-1 instances: P is 1.1 million at n=96 (8-10 s, +133 MB), 3.2
+# million at n=128 (25 s, +408 MB) and 14.7 million at n=192, which the
+# cap refuses.  The pairs are counted while the order's rows are built,
+# so a refusal builds only a prefix of the order: n=512 (P 655 million)
+# is refused in 0.4 s and +7 MB past the poset, and its well-separated DP
+# in 0.7 s and +82 MB, holes included.
+MAX_CHAIN_PAIRS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -239,7 +251,10 @@ class SeparatorPoset:
     indices, in the same canonical order, and ``successors`` maps each
     element to its strict supersets as frozensets.  A caller that reads
     only the masks never pays for the order, its P comparable pairs or
-    any frozenset.
+    any frozenset.  ``above`` is the one routine that builds the order:
+    it counts the pairs as its rows arrive and raises ValueError, keeping
+    nothing, once they pass MAX_CHAIN_PAIRS, so ``succ``, ``successors``
+    and the chain table, which read it, refuse at the same row.
     """
 
     masks: tuple[int, ...]
@@ -250,7 +265,32 @@ class SeparatorPoset:
 
     @cached_property
     def above(self) -> tuple[int, ...]:
-        return tuple(_above_rows(self.masks))
+        # Row e is the AND, over e's members, of the elements holding each
+        # member.  The masks are sorted by size, so no earlier element can be
+        # a strict superset, and the smallest, with the most, come first.
+        masks, n, m = self.masks, self.n, len(self.masks)
+        # Digit e*n + i of the concatenated n-digit numerals flags index i in
+        # element e, so every n-th digit from i on is the base-2 numeral of
+        # containing[i], in which element e carries the flag 1 << (m - 1 - e).
+        # The numerals are joined 4096 elements at a time, each slice's digits
+        # appended to containing[i], so at most 4096 * n digits are alive.
+        containing = [0] * n
+        for start in range(0, m, 4096):
+            piece = masks[start:start + 4096]
+            digits = "".join([f"{mask:0{n}b}" for mask in piece])
+            for i in range(n):
+                containing[i] = containing[i] << len(piece) | int(digits[i::n], 2)
+        rows, pairs = [], 0
+        for e, mask in enumerate(masks):
+            row = reduce(and_, _picked(containing, mask), (1 << (m - 1 - e)) - 1)
+            pairs += row.bit_count()
+            if pairs > MAX_CHAIN_PAIRS:
+                raise ValueError(
+                    f"SeparatorPoset: the order has more comparable pairs than "
+                    f"MAX_CHAIN_PAIRS = {MAX_CHAIN_PAIRS}"
+                )
+            rows.append(row)
+        return tuple(rows)
 
     @cached_property
     def elements(self) -> tuple[frozenset, ...]:
@@ -258,48 +298,19 @@ class SeparatorPoset:
 
     @cached_property
     def succ(self) -> tuple[tuple[int, ...], ...]:
-        return _decode_rows(self.above)
+        # Decoding from one tuple shares its int objects between all the rows.
+        index = tuple(range(len(self.masks)))
+        return tuple(tuple(_picked(index, row)) for row in self.above)
 
     @cached_property
     def successors(self) -> dict[frozenset, tuple[frozenset, ...]]:
+        # The order first: past the cap it refuses before any frozenset.
+        succ = self.succ
         elements = self.elements
-        return {C: tuple(map(elements.__getitem__, sups)) for C, sups in zip(elements, self.succ)}
+        return {C: tuple(map(elements.__getitem__, sups)) for C, sups in zip(elements, succ)}
 
     def __len__(self) -> int:
         return len(self.masks)
-
-
-def _above_rows(masks: tuple[int, ...]) -> Iterator[int]:
-    """The rows of the order on ``masks``, in element order.
-
-    Row e flags the strict supersets of element e among the m elements,
-    element j carrying the flag ``1 << (m - 1 - j)``: the AND, over e's
-    members, of the elements holding each member.  ``masks`` is sorted by
-    size, so no earlier element can be a strict superset.  Elements sort
-    by size, and the smallest have the most supersets, so a reader that
-    counts the pairs as the rows arrive sees most of them early.
-    """
-    n, m = masks[-1].bit_length(), len(masks)
-    # Digit e*n + i of the concatenated n-digit numerals flags index i in
-    # element e, so every n-th digit from i on is the base-2 numeral of
-    # containing[i], in which element e carries the flag 1 << (m - 1 - e).
-    # The numerals are joined 4096 elements at a time, each slice's digits
-    # appended to containing[i], so at most 4096 * n digits are alive.
-    containing = [0] * n
-    for start in range(0, m, 4096):
-        piece = masks[start:start + 4096]
-        digits = "".join([f"{mask:0{n}b}" for mask in piece])
-        for i in range(n):
-            containing[i] = containing[i] << len(piece) | int(digits[i::n], 2)
-    for e, mask in enumerate(masks):
-        yield reduce(and_, _picked(containing, mask), (1 << (m - 1 - e)) - 1)
-
-
-def _decode_rows(rows) -> tuple[tuple[int, ...], ...]:
-    """Each row of the order as the tuple of the element indices it flags."""
-    # Decoding from one tuple shares its int objects between all the rows.
-    index = tuple(range(len(rows)))
-    return tuple(tuple(_picked(index, row)) for row in rows)
 
 
 def build_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:

@@ -78,7 +78,7 @@ def _cmd_solve(args) -> int:
         tally = f"centers: {list(centers.centers)}"
     else:
         if args.solver == "bsearch":
-            sol = bsearch(S, args.k, args.eps)
+            sol = bsearch(S, args.k) if args.eps is None else bsearch(S, args.k, args.eps)
         elif args.solver == "brute":
             from .oracle import brute_opt_md, brute_opt_sd
 
@@ -147,7 +147,7 @@ def _build_parser() -> _Parser:
     p_md.add_argument("file")
     p_md.add_argument("-k", type=int, help="number of clusters")
     p_md.add_argument("-D", dest="threshold", help="gp growth threshold (exact decimal)")
-    p_md.add_argument("--eps", default="0.05", help="bsearch precision (exact decimal)")
+    p_md.add_argument("--eps", help="bsearch precision (exact decimal; omitted: bsearch's default)")
     p_md.set_defaults(handler=_cmd_solve)
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
@@ -179,10 +179,15 @@ def main(argv=None) -> int:
         return 1
     try:
         if args.command == "md":
-            if args.solver == "gp" and args.threshold is None:
-                raise _UsageError("md gp requires -D")
-            if args.solver != "gp" and args.k is None:
-                raise _UsageError(f"md {args.solver} requires -k")
+            # A solver's option missing is an error, and so is one it never reads.
+            given = {"-k": args.k, "-D": args.threshold, "--eps": args.eps}
+            needs = "-D" if args.solver == "gp" else "-k"
+            reads = {needs, "--eps"} if args.solver == "bsearch" else {needs}
+            if given[needs] is None:
+                raise _UsageError(f"md {args.solver} requires {needs}")
+            for name, value in given.items():
+                if value is not None and name not in reads:
+                    raise _UsageError(f"md {args.solver} takes no {name}")
         return args.handler(args)
     except (_UsageError, InstanceError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

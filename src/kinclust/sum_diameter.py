@@ -28,8 +28,6 @@ from typing import Iterable
 from .arrangement import (
     Hole,
     SeparatorPoset,
-    _above_rows,
-    _decode_rows,
     _hole_mask,
     _straddles,
     build_poset,
@@ -90,16 +88,6 @@ class GoodSequence:
 # k=4 (seed 1) takes about 7.4 million units, 48 parallel lines at k=48
 # about 6.6 million; past the cap the call raises ValueError.
 MAX_SPLIT_WORK = 20_000_000
-
-# Most comparable pairs P of side-sets, one block area each, that a new
-# chain table may hold; past the cap it raises ValueError before computing
-# any area.  A cold table costs about 8 microseconds and 120 bytes of peak
-# RSS per pair on CPython 3.11.7.  Seed-1 instances: P is 1.1 million at
-# n=96 (8-10 s, +133 MB), 3.2 million at n=128 (25 s, +408 MB) and 14.7
-# million at n=192, which the cap refuses.  The pairs are counted while the
-# order's rows are built, so a refusal builds only a prefix of the order:
-# n=512 (P 655 million) is refused in 0.7 s and +82 MB, holes included.
-MAX_CHAIN_PAIRS = 4_000_000
 
 
 def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
@@ -275,13 +263,12 @@ class ChainTable:
 
     Element e is ``masks[e]`` of the instance's side-set poset, the kernel's
     int mask of the side-set, in the poset's canonical order, so the empty
-    set is element 0 and the full set the last one.  The table reads only
-    the poset's masks and builds the order itself, row by row: ``succ[e]``
-    lists the element indices of e's strict supersets, in canonical order,
-    with the same contents as the poset's ``succ``, which stays unbuilt.
-    Row e holds the exact area of each block (superset minus element) as
-    the integers ``nums[e][i] / dens[e][i]``; a block is the XOR of the two
-    elements' masks.
+    set is element 0 and the full set the last one.  ``succ`` is the
+    poset's order, read rather than built: ``succ[e]`` lists the element
+    indices of e's strict supersets, in canonical order.  Row e holds the
+    exact area of each block (superset minus element) as the integers
+    ``nums[e][i] / dens[e][i]``; a block is the XOR of the two elements'
+    masks.
 
     A block's area is read from the kernel's span memo when the memo has
     it.  Otherwise it is computed from the block's two clipped chains (see
@@ -298,10 +285,8 @@ class ChainTable:
     The chains are transient: while row e is filled, only those of the
     supersets of the current size and of one member fewer are kept.
     Building a table raises ValueError, before computing any area, when
-    the poset has more than MAX_CHAIN_PAIRS comparable pairs.  The pairs
-    are counted as the rows of the order arrive, smallest elements (with
-    the most supersets) first, so a poset far past the cap is refused
-    after a few of its rows.
+    the poset's order refuses to build past MAX_CHAIN_PAIRS comparable
+    pairs (see ``SeparatorPoset``).
 
     ``layers`` maps (objective, j) to DP layer j: the best value of a
     well-separated j-clustering of each element's complement, as reduced
@@ -315,17 +300,7 @@ class ChainTable:
     __slots__ = ("masks", "succ", "nums", "dens", "layers")
 
     def __init__(self, kernel: SpanKernel, poset: SeparatorPoset) -> None:
-        masks = poset.masks
-        rows, pairs = [], 0
-        for row in _above_rows(masks):
-            pairs += row.bit_count()
-            if pairs > MAX_CHAIN_PAIRS:
-                raise ValueError(
-                    f"well-separated DP: the chain table needs more block areas than "
-                    f"MAX_CHAIN_PAIRS = {MAX_CHAIN_PAIRS}"
-                )
-            rows.append(row)
-        succ = _decode_rows(rows)
+        masks, succ = poset.masks, poset.succ
         lines, spans = kernel.lines, kernel.spans
         n = len(lines)
         mirrors = [(-v, -a) for v, a in lines]

@@ -1,6 +1,7 @@
 """Arrangement holes, side predicates, and the side-set inclusion poset."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -558,6 +559,37 @@ class TestSeparatorPoset:
         for twin in (reference, SeparatorPoset(poset.masks)):
             assert twin == poset and hash(twin) == hash(poset)
         assert build_poset(S, holes[:3]) != poset
+
+
+class TestOrderBudget:
+    """Every reader of the order refuses past MAX_CHAIN_PAIRS, keeping nothing."""
+
+    @pytest.mark.parametrize("reader", ["above", "succ", "successors"])
+    def test_each_reader_refuses_and_keeps_nothing(self, reader, monkeypatch):
+        S = make_instance(4710, 10)
+        monkeypatch.setattr(arrangement, "MAX_CHAIN_PAIRS", 5)
+        poset = build_poset(S, compute_holes(S))
+        with pytest.raises(ValueError, match="MAX_CHAIN_PAIRS = 5"):
+            getattr(poset, reader)
+        # ``successors`` reads the order before it decodes any element.
+        assert set(vars(poset)) == {"masks"}
+        with pytest.raises(ValueError, match="MAX_CHAIN_PAIRS = 5"):
+            getattr(poset, reader)
+
+    def test_refusal_at_n_512_is_cheap(self):
+        # Seed 1 at n=512 has about 655 million comparable pairs; the
+        # refusal builds a few rows of the order and no frozenset.
+        S = make_instance(1, 512)
+        poset = build_poset(S, compute_holes(S))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MAX_CHAIN_PAIRS = "):
+                poset.successors
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(vars(poset)) == {"masks"}
+        assert peak <= 50_000_000
 
 
 class TestSixTrajectoryDag:

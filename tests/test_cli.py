@@ -141,9 +141,9 @@ class TestSd:
         assert "MAX_SPLIT_WORK = 3" in captured.err
 
     def test_wellsep_work_guard(self, nested_file, capsys, monkeypatch):
-        from kinclust import sum_diameter
+        from kinclust import arrangement
 
-        monkeypatch.setattr(sum_diameter, "MAX_CHAIN_PAIRS", 3)
+        monkeypatch.setattr(arrangement, "MAX_CHAIN_PAIRS", 3)
         assert main(["sd", "wellsep", nested_file, "-k", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -212,6 +212,24 @@ class TestMd:
         assert main(["md", "bsearch", quartet_file, "-k", "2", "--eps", "1e-4301"]) == 1
         assert main(["md", "gp", quartet_file, "-D", "1e4301"]) == 1
         assert "exponent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["md", "gp", "-D", "1", "-k", "3"], "-k"),
+            (["md", "gp", "-D", "1", "--eps", "0.1"], "--eps"),
+            (["md", "bsearch", "-k", "2", "-D", "1"], "-D"),
+            (["md", "kcenter", "-k", "2", "-D", "1"], "-D"),
+            (["md", "kcenter", "-k", "2", "--eps", "0.1"], "--eps"),
+            (["md", "wellsep", "-k", "3", "--eps", "0"], "--eps"),
+            (["md", "brute", "-k", "2", "-D", "1"], "-D"),
+        ],
+    )
+    def test_options_the_solver_never_reads_rejected(self, quartet_file, capsys, argv, option):
+        assert main([*argv[:2], quartet_file, *argv[2:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, f"md {argv[1]} takes no {option}")
 
     @pytest.mark.parametrize(
         "argv",

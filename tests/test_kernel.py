@@ -231,10 +231,8 @@ class TestIntMasks:
         assert kernel.spans and all(type(key) is int for key in kernel.spans)
         poset = build_poset(S, compute_holes(S))
         table = ChainTable(kernel, poset)
-        # The table builds the order from the masks; the poset's stays unbuilt.
-        assert not {"above", "succ", "successors"} & set(vars(poset))
-        assert table.succ == poset.succ
-        assert poset.succ is poset.succ
+        # The table reads the poset's order; the frozenset view stays unbuilt.
+        assert table.succ is poset.succ
         assert "successors" not in vars(poset)
 
     def test_poset_and_table_decode_no_elements(self):

@@ -10,6 +10,7 @@ import pytest
 from kinclust import (
     GoodSequence,
     TrajectorySet,
+    arrangement,
     build_poset,
     compute_holes,
     diameter,
@@ -240,23 +241,27 @@ class TestExactSolverWorkGuard:
 class TestWellSeparatedDpWorkGuard:
     @staticmethod
     def pairs(S):
-        """P: the comparable pairs of the instance's side-set poset."""
+        """P: the comparable pairs of the instance's side-set poset.
+
+        It reads the order, so a test computes it before patching the cap.
+        """
         return sum(mask.bit_count() for mask in build_poset(S, compute_holes(S)).above)
 
     def test_raises_past_the_cap_before_any_area(self, monkeypatch):
         S = make_instance(4710, 10)
-        monkeypatch.setattr(sum_diameter, "MAX_CHAIN_PAIRS", self.pairs(S) - 1)
+        cap = self.pairs(S) - 1
+        monkeypatch.setattr(arrangement, "MAX_CHAIN_PAIRS", cap)
         for solve in WELLSEP_DP.values():
-            with pytest.raises(ValueError, match=f"MAX_CHAIN_PAIRS = {self.pairs(S) - 1}"):
+            with pytest.raises(ValueError, match=f"MAX_CHAIN_PAIRS = {cap}"):
                 solve(S, 3)
         assert S.kernel.chain_table is None
         assert not S.kernel.spans
 
     def test_refusal_leaves_the_posets_order_unbuilt(self, monkeypatch):
-        # The table counts the pairs as it builds the rows itself, so a
-        # refused table builds no order on the poset it was given.
+        # The table reads the poset's order, which refuses at the row that
+        # passes the cap and keeps none of the rows built before it.
         S = make_instance(4710, 10)
-        monkeypatch.setattr(sum_diameter, "MAX_CHAIN_PAIRS", 5)
+        monkeypatch.setattr(arrangement, "MAX_CHAIN_PAIRS", 5)
         poset = build_poset(S, compute_holes(S))
         with pytest.raises(ValueError, match="MAX_CHAIN_PAIRS = 5"):
             ChainTable(S.kernel, poset)
@@ -265,13 +270,13 @@ class TestWellSeparatedDpWorkGuard:
 
     def test_cap_admits_exactly_p_pairs(self, monkeypatch):
         S = make_instance(4710, 10)
-        monkeypatch.setattr(sum_diameter, "MAX_CHAIN_PAIRS", self.pairs(S))
+        monkeypatch.setattr(arrangement, "MAX_CHAIN_PAIRS", self.pairs(S))
         assert sd_wellsep_dp(S, 3) == sd_wellsep_dp(make_instance(4710, 10), 3)
 
     def test_warm_table_still_answers(self, monkeypatch):
         S = make_instance(4711, 10)
         sd_wellsep_dp(S, 2)
-        monkeypatch.setattr(sum_diameter, "MAX_CHAIN_PAIRS", 0)
+        monkeypatch.setattr(arrangement, "MAX_CHAIN_PAIRS", 0)
         for objective, solve in WELLSEP_DP.items():
             for k in (2, 4):
                 assert solve(S, k) == wellsep_dp_by_sets(make_instance(4711, 10), k, objective)
