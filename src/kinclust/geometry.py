@@ -120,11 +120,14 @@ class TrajectorySet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trajectories", tuple(self.trajectories))
-        seen: dict[Trajectory, int] = {}
+        # Keyed by the coordinates' integer parts, which hash faster than
+        # the Fractions or the dataclass.
+        seen: dict[tuple[int, int, int, int], int] = {}
         for i, s in enumerate(self.trajectories):
-            if s in seen:
-                raise ValueError(f"duplicate trajectory at indices {seen[s]} and {i}: {s}")
-            seen[s] = i
+            x0, x1 = s.x0, s.x1
+            j = seen.setdefault((x0.numerator, x0.denominator, x1.numerator, x1.denominator), i)
+            if j != i:
+                raise ValueError(f"duplicate trajectory at indices {j} and {i}: {s}")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[ScalarLike, ScalarLike]]) -> "TrajectorySet":

@@ -14,7 +14,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 
 from .geometry import ScalarLike, Trajectory, TrajectorySet, as_scalar
@@ -29,20 +29,14 @@ def scalar_literal(v: Fraction) -> str:
     num, den = v.numerator, v.denominator
     if den == 1:
         return str(num)
-    rest, e2, e5 = den, 0, 0
-    while rest % 2 == 0:
-        rest //= 2
-        e2 += 1
-    while rest % 5 == 0:
-        rest //= 5
-        e5 += 1
-    if rest != 1:
-        return f"{num}/{den}"
-    e = max(e2, e5)
-    scaled = abs(num) * 10**e // den
-    digits = str(scaled).rjust(e + 1, "0")
-    sign = "-" if num < 0 else ""
-    return f"{sign}{digits[:-e]}.{digits[-e:]}"
+    # A terminating quotient has at most len(str(num)) + den.bit_length()
+    # digits, so at that precision only a nonterminating one is inexact.
+    with localcontext() as ctx:
+        ctx.prec = len(str(num)) + den.bit_length()
+        q = Decimal(num) / Decimal(den)
+        if not ctx.flags[Inexact]:
+            return f"{q:f}"
+    return f"{num}/{den}"
 
 
 def scalar_decimal(v: Fraction) -> str:
@@ -166,11 +160,12 @@ def generate_instance(cfg: GeneratorConfig) -> TrajectorySet:
         attempts += 1
         if attempts > 1000 * cfg.n + 100000:
             raise InstanceError("sampling failed to find enough distinct trajectories")
-        x0 = Fraction(rng.randint(x_lo, x_hi), cfg.grid)
-        v = Fraction(rng.randint(v_lo, v_hi), cfg.grid)
-        traj = Trajectory(x0, x0 + v)
-        if traj in seen:
+        # Distinct grid points are distinct trajectories, so the check needs
+        # no Fraction.
+        point = (rng.randint(x_lo, x_hi), rng.randint(v_lo, v_hi))
+        if point in seen:
             continue
-        seen.add(traj)
-        out.append(traj)
+        seen.add(point)
+        x0 = Fraction(point[0], cfg.grid)
+        out.append(Trajectory(x0, x0 + Fraction(point[1], cfg.grid)))
     return TrajectorySet(tuple(out))

@@ -29,6 +29,12 @@ from .geometry import (
 # caps the diameter of every cluster built by gp at GP_FACTOR * D.
 GP_FACTOR = Fraction("2.7072")
 
+# Most pair terms one ``kcenter_gonzalez`` call may compute, n per center.
+# A term takes about 0.75 us on CPython 3.11.7, so the cap is about 11 s;
+# n=10^5 at k=4 takes 400,000 terms and n=2000 at k=1000 two million.  Past
+# the cap the call raises ValueError before the first center.
+MAX_CENTER_WORK = 15_000_000
+
 
 def md_value(S: TrajectorySet, clustering: Iterable[Iterable[int]]) -> Fraction:
     """Largest cluster diameter in the clustering."""
@@ -147,10 +153,16 @@ def kcenter_gonzalez(S: TrajectorySet, k: int) -> tuple[CenterSet, Clustering]:
     center; a new center takes a member over when (distance, center
     index) is lexicographically smaller, compared by cross-multiplication.
     The owners are the assignment, and each center's distances are
-    computed once, when it is picked.
+    computed once, when it is picked.  Raises ValueError when its n * k
+    pair terms would exceed MAX_CENTER_WORK.
     """
     n = len(S)
     check_k(k, n)
+    if n * k > MAX_CENTER_WORK:
+        raise ValueError(
+            f"kcenter_gonzalez: n * k = {n * k} pair terms is more than "
+            f"MAX_CENTER_WORK = {MAX_CENTER_WORK}"
+        )
 
     kernel = S.kernel
     near_p, near_q, owner = [1] * n, [0] * n, [n] * n

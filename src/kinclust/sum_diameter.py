@@ -275,9 +275,10 @@ class ChainTable:
     ``geometry._upper_chain``) and written into the memo; a block of one
     member has one-line chains and, as in ``span_area``, area 0.  The
     chains are inherited.  The parent of the block of superset s is the
-    block of a superset of e one member smaller than s, and the block's
-    chains are the parent's with the missing member's line added, run
-    through ``_upper_chain`` again.  That is exact: a line not on the
+    block of the first superset of e one member smaller than s, in
+    canonical order and read off ``succ``, whose chains are known, and the
+    block's chains are the parent's with the missing member's line added,
+    run through ``_upper_chain`` again.  That is exact: a line not on the
     parent's chain never carries the maximum inside (0, 1), and adding a
     line cannot change that.  A block with no such parent, or whose
     parents were all read from the memo and so have no chains, starts
@@ -304,21 +305,17 @@ class ChainTable:
         lines, spans = kernel.lines, kernel.spans
         n = len(lines)
         mirrors = [(-v, -a) for v, a in lines]
-        index = {mask: e for e, mask in enumerate(masks)}
-        # below[s]: (element, index) for each element one member smaller than
-        # element s and inside it, with the index of the missing member.
-        below = []
-        for mask in masks:
-            found, rest = [], mask
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                p = index.get(mask ^ bit)
-                if p is not None:
-                    found.append((p, n - bit.bit_length()))
-            below.append(tuple(found))
-        del index
         sizes = [mask.bit_count() for mask in masks]
+        # below[s]: (p, i) for each element p inside s and one member smaller,
+        # i the missing member, in canonical order; succ[p] runs by size, so
+        # the supersets of p one member larger are its first entries.
+        below = [[] for _ in masks]
+        for p, (C, sups) in enumerate(zip(masks, succ)):
+            size = sizes[p] + 1
+            for s in sups:
+                if sizes[s] != size:
+                    break
+                below[s].append((p, n - (masks[s] ^ C).bit_length()))
         get = spans.get
         nums, dens = [], []
         for e, (C, sups) in enumerate(zip(masks, succ)):

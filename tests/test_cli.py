@@ -194,6 +194,16 @@ class TestMd:
         assert main(["md", "kcenter", quartet_file, "-k", "2"]) == 0
         assert "centers:" in capsys.readouterr().out
 
+    def test_kcenter_work_guard(self, quartet_file, capsys, monkeypatch):
+        from kinclust import max_diameter
+
+        monkeypatch.setattr(max_diameter, "MAX_CENTER_WORK", 7)
+        assert main(["md", "kcenter", quartet_file, "-k", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "MAX_CENTER_WORK = 7" in captured.err
+
     def test_wellsep_and_brute(self, quartet_file, capsys):
         assert main(["md", "brute", quartet_file, "-k", "2"]) == 0
         brute = value_of(capsys.readouterr().out, "max diameter")

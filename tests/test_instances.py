@@ -83,6 +83,11 @@ class TestScalarText:
             (Fraction(7, 40), "0.175"),
             (Fraction(1, 3), "1/3"),
             (Fraction(-22, 7), "-22/7"),
+            (Fraction(3, 7), "3/7"),
+            (Fraction(1, 10**20), "0.00000000000000000001"),
+            (Fraction(-7, 2**10), "-0.0068359375"),
+            (Fraction(10**30 + 1, 5**3), "8000000000000000000000000000.008"),
+            (Fraction(3, 2**60 * 7), f"3/{2**60 * 7}"),
         ],
     )
     def test_literal(self, value, text):

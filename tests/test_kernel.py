@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinclust import (
+    GeneratorConfig,
     Trajectory,
     TrajectorySet,
     bsearch,
@@ -29,6 +30,7 @@ from kinclust import (
     diameter,
     dumps_instance,
     envelope,
+    generate_instance,
     gp,
     md_wellsep_dp,
     pairwise_diameter,
@@ -36,7 +38,7 @@ from kinclust import (
     sd_exact_goodseq,
     sd_wellsep_dp,
 )
-from kinclust.geometry import _picked
+from kinclust.geometry import SpanKernel, _picked
 from kinclust.oracle import (
     bottom_leftmost_index,
     envelope_grid,
@@ -326,6 +328,38 @@ class TestChainTableMatchesSpanArea:
     def test_degenerate_families(self, pairs):
         self.check(lambda: TrajectorySet.from_pairs(pairs))
         self.check(lambda: TrajectorySet.from_pairs(pairs), warm=True)
+
+
+class TestChainTableInheritance:
+    """The table finds its blocks' parents; the areas alone would not show it."""
+
+    def test_few_blocks_start_from_all_of_their_lines(self, monkeypatch):
+        # A cold table on this instance starts 205 of its 20,425 blocks from
+        # all of their lines; one that found no parent would start nearly all.
+        S = generate_instance(GeneratorConfig(seed=3, n=32))
+        poset = build_poset(S, compute_holes(S))
+        pairs = sum(map(len, poset.succ))
+        calls = 0
+        chains = SpanKernel.chains
+
+        def counted(kernel, D):
+            nonlocal calls
+            calls += 1
+            return chains(kernel, D)
+
+        monkeypatch.setattr(SpanKernel, "chains", counted)
+        ChainTable(S.kernel, poset)
+        assert 0 < calls <= pairs * 2 // 100
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_succ_rows_run_by_size(self, n):
+        # The table reads each element's one-larger supersets as the first
+        # entries of its row.
+        for S in (make_instance(25700 + n, n), TrajectorySet.from_pairs((i, -i) for i in range(n))):
+            poset = build_poset(S, compute_holes(S))
+            sizes = [mask.bit_count() for mask in poset.masks]
+            for row in poset.succ:
+                assert all(sizes[a] <= sizes[b] for a, b in zip(row, row[1:]))
 
 
 # --- metamorphic properties ---------------------------------------------

@@ -15,6 +15,7 @@ from kinclust import (
     kcenter_gonzalez,
     md_value,
     normalize_clustering,
+    max_diameter,
     pairwise_diameter,
 )
 from kinclust.oracle import bottom_leftmost_index, brute_opt_md
@@ -290,6 +291,32 @@ class TestKcenter:
                     continue
                 _, clustering = kcenter_gonzalez(S, k)
                 assert md_value(S, clustering) <= KCENTER_BOUND * brute_opt_md(S, k).value
+
+
+class TestKcenterWorkGuard:
+    def test_raises_past_the_cap_before_any_pair_term(self, monkeypatch):
+        S = make_instance(5950, 8)
+        expected = kcenter_gonzalez(S, 3)
+
+        def no_terms(*args):
+            raise AssertionError("a pair term was computed past the cap")
+
+        monkeypatch.setattr(max_diameter, "MAX_CENTER_WORK", 8 * 3 - 1)
+        with monkeypatch.context() as m:
+            m.setattr(max_diameter, "_pair_terms", no_terms)
+            with pytest.raises(ValueError, match="n \\* k = 24 .* MAX_CENTER_WORK = 23"):
+                kcenter_gonzalez(S, 3)
+        monkeypatch.setattr(max_diameter, "MAX_CENTER_WORK", 8 * 3)
+        assert kcenter_gonzalez(S, 3) == expected
+
+    def test_k_is_checked_before_the_cap(self, monkeypatch, quartet):
+        monkeypatch.setattr(max_diameter, "MAX_CENTER_WORK", 0)
+        with pytest.raises(ValueError, match="MAX_CENTER_WORK = 0"):
+            kcenter_gonzalez(quartet, 1)
+        for bad in (0, 5):
+            with pytest.raises(ValueError) as caught:
+                kcenter_gonzalez(quartet, bad)
+            assert "MAX_CENTER_WORK" not in str(caught.value)
 
 
 def pairs_of(S):
