@@ -243,17 +243,16 @@ class SeparatorPoset:
     the masks, so two posets are equal, and hash equal, when their masks
     are.
 
-    Everything else is built on first read and kept.  Of m elements,
-    element j carries the flag ``1 << (m - 1 - j)``, and ``above[e]`` is
-    the int mask flagging the strict supersets of element e among the
-    elements.  ``elements`` holds the side-sets as frozensets of indices,
-    ``succ[e]`` lists the strict supersets of element e as element
-    indices, in the same canonical order, and ``successors`` maps each
-    element to its strict supersets as frozensets.  A caller that reads
-    only the masks never pays for the order, its P comparable pairs or
-    any frozenset.  ``above`` is the one routine that builds the order:
-    it counts the pairs as its rows arrive and raises ValueError, keeping
-    nothing, once they pass MAX_CHAIN_PAIRS, so ``succ``, ``successors``
+    Everything else is built on first read and kept.  ``elements`` holds
+    the side-sets as frozensets of indices, ``succ[e]`` lists the strict
+    supersets of element e as element indices, in the same canonical
+    order, and ``successors`` maps each element to its strict supersets
+    as frozensets.  A caller that reads only the masks never pays for the
+    order, its P comparable pairs or any frozenset.  ``succ`` is the one
+    routine that builds the order and the one form it is kept in: it
+    builds each row as an int mask over the m elements, counts the pairs
+    as the rows arrive and raises ValueError, keeping nothing, once they
+    pass MAX_CHAIN_PAIRS, before it decodes any row, so ``successors``
     and the chain table, which read it, refuse at the same row.
     """
 
@@ -264,10 +263,14 @@ class SeparatorPoset:
         return self.masks[-1].bit_length()
 
     @cached_property
-    def above(self) -> tuple[int, ...]:
-        # Row e is the AND, over e's members, of the elements holding each
-        # member.  The masks are sorted by size, so no earlier element can be
-        # a strict superset, and the smallest, with the most, come first.
+    def elements(self) -> tuple[frozenset, ...]:
+        return tuple(_mask_members(mask, self.n) for mask in self.masks)
+
+    @cached_property
+    def succ(self) -> tuple[tuple[int, ...], ...]:
+        # Row e, the AND over e's members of the elements holding each member,
+        # flags its strict supersets.  The masks are sorted by size, so no earlier
+        # element can be one, and the smallest, with the most, come first.
         masks, n, m = self.masks, self.n, len(self.masks)
         # Digit e*n + i of the concatenated n-digit numerals flags index i in
         # element e, so every n-th digit from i on is the base-2 numeral of
@@ -290,17 +293,9 @@ class SeparatorPoset:
                     f"MAX_CHAIN_PAIRS = {MAX_CHAIN_PAIRS}"
                 )
             rows.append(row)
-        return tuple(rows)
-
-    @cached_property
-    def elements(self) -> tuple[frozenset, ...]:
-        return tuple(_mask_members(mask, self.n) for mask in self.masks)
-
-    @cached_property
-    def succ(self) -> tuple[tuple[int, ...], ...]:
         # Decoding from one tuple shares its int objects between all the rows.
-        index = tuple(range(len(self.masks)))
-        return tuple(tuple(_picked(index, row)) for row in self.above)
+        index = tuple(range(m))
+        return tuple(tuple(_picked(index, row)) for row in rows)
 
     @cached_property
     def successors(self) -> dict[frozenset, tuple[frozenset, ...]]:

@@ -33,11 +33,12 @@ Clustering = tuple
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# Largest decimal exponent magnitude a scalar literal may carry.
-# Fraction("1e999999999") would build 10**999999999 digit by digit; the
-# bound matches CPython's default limit on the digits of a parsed int.
+# Largest decimal exponent magnitude, and most numerator or denominator digits,
+# of a scalar literal: Fraction("1e999999999") would build 10**999999999, and
+# CPython writes no int of more digits as text by default.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+_DIGITS_BOUND = 10**MAX_EXPONENT
 
 
 def _parse_scalar(text: str) -> Fraction:
@@ -47,9 +48,12 @@ def _parse_scalar(text: str) -> Fraction:
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
             raise ValueError(f"decimal exponent beyond +-{MAX_EXPONENT} in scalar literal")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in scalar literal {text!r}") from None
+    if max(abs(value.numerator), value.denominator) >= _DIGITS_BOUND:
+        raise ValueError(f"more than {MAX_EXPONENT} digits in scalar literal")
+    return value
 
 
 def as_scalar(value: ScalarLike) -> Fraction:
@@ -58,7 +62,8 @@ def as_scalar(value: ScalarLike) -> Fraction:
     Strings may be decimal literals ("0.25", "-1.5e-2") or ratios ("3/4");
     both parse exactly.  A decimal exponent beyond MAX_EXPONENT in
     magnitude raises ValueError instead of building a huge power of ten,
-    and so does a zero denominator ("1/0").
+    and so do a value that could not be written back, whose numerator or
+    denominator has more digits ("1e4300"), and a zero denominator ("1/0").
     Floats are rejected on purpose: converting one would bake binary
     rounding error into an otherwise exact pipeline.
     """

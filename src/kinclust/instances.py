@@ -55,6 +55,8 @@ def load_json(data: bytes | str):
         raise InstanceError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
     except RecursionError:
         raise InstanceError("JSON document nested too deeply") from None
+    except ValueError as e:  # an int literal past CPython's digit limit
+        raise InstanceError(f"invalid JSON: {e}") from e
 
 
 def parse_instance(data: bytes | str) -> TrajectorySet:
@@ -93,7 +95,7 @@ def parse_instance(data: bytes | str) -> TrajectorySet:
         trajectories.append(Trajectory(values["x0"], values["x1"]))
     try:
         return TrajectorySet(tuple(trajectories))
-    except ValueError as e:
+    except ValueError as e:  # an int literal past CPython's digit limit
         raise InstanceError(str(e)) from e
 
 

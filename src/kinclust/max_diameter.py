@@ -43,10 +43,9 @@ def md_value(S: TrajectorySet, clustering: Iterable[Iterable[int]]) -> Fraction:
 
 @dataclass(frozen=True)
 class CenterSet:
-    """Chosen center indices plus the induced nearest-center assignment."""
+    """The chosen center indices, in the order they were picked."""
 
     centers: tuple[int, ...]
-    assignment: tuple[int, ...]
 
 
 def gp(S: TrajectorySet, D: ScalarLike) -> Clustering:
@@ -152,9 +151,9 @@ def kcenter_gonzalez(S: TrajectorySet, k: int) -> tuple[CenterSet, Clustering]:
     pair p / q (see ``_pair_terms``), 1/0 before the seed, and its owning
     center; a new center takes a member over when (distance, center
     index) is lexicographically smaller, compared by cross-multiplication.
-    The owners are the assignment, and each center's distances are
-    computed once, when it is picked.  Raises ValueError when its n * k
-    pair terms would exceed MAX_CENTER_WORK.
+    A center owns itself, so each cluster holds exactly one center, and
+    each center's distances are computed once, when it is picked.  Raises
+    ValueError when its n * k pair terms would exceed MAX_CENTER_WORK.
     """
     n = len(S)
     check_k(k, n)
@@ -185,4 +184,4 @@ def kcenter_gonzalez(S: TrajectorySet, k: int) -> tuple[CenterSet, Clustering]:
     for i, c in enumerate(owner):
         groups[c].add(i)
     clustering = normalize_clustering(groups.values())
-    return CenterSet(tuple(centers), tuple(owner)), clustering
+    return CenterSet(tuple(centers)), clustering

@@ -343,20 +343,18 @@ def poset_by_inclusion(S: TrajectorySet, holes) -> SeparatorPoset:
     A referee for ``build_poset``: the empty set, the full set and the
     distinct hole side-sets, sorted by (size, indices), each as the mask
     in which index i of n carries the flag ``1 << (n - 1 - i)``, and each
-    with the mask of its strict supersets, where element j of m carries
-    the flag ``1 << (m - 1 - j)``.  That order is stored as the poset's
-    ``above`` (and its ``succ`` decoded from it), so reading the order of
-    this poset runs none of the library's row code.
+    with the indices of its strict supersets among them.  That order is
+    stored as the poset's ``succ``, so reading the order of this poset
+    runs none of the library's row code.
     """
     n = len(S)
     full = S.all_indices()
     sets = {frozenset(), full} | {h.left_set for h in holes} | {full - h.left_set for h in holes}
     elements = tuple(sorted(sets, key=lambda c: (len(c), tuple(sorted(c)))))
-    m = len(elements)
     poset = SeparatorPoset(tuple(sum(1 << (n - 1 - i) for i in c) for c in elements))
-    # Fill the cached property, which ``above`` would otherwise build.
-    vars(poset)["above"] = tuple(
-        sum(1 << (m - 1 - j) for j, b in enumerate(elements) if a < b) for a in elements
+    # Fill the cached property, which ``succ`` would otherwise build.
+    vars(poset)["succ"] = tuple(
+        tuple(j for j, b in enumerate(elements) if a < b) for a in elements
     )
     return poset
 

@@ -130,6 +130,18 @@ WELLSEP_GAP_CORPUS = {
     "n9-k4": (4, [(0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (3, 0), (3, 3)]),
 }
 
+# The worst instances a hill-climb over integer endpoints (n 3-8, grids
+# 3-12) found for the two GP_FACTOR bounds, as (x0, x1) pairs with their
+# exact ratios; neither ratio is known to be the largest possible.
+# gp at threshold D: the largest cluster diameter over D.
+GP_WORST = (
+    [(0, 7), (0, 12), (1, 2), (2, 1), (5, 0), (5, 7), (5, 12), (6, 5)], Fraction(5, 2), Fraction(5, 2)
+)
+# bsearch at k (default eps): its value over the brute-force optimum.
+BSEARCH_WORST = (
+    [(0, 7), (0, 12), (1, 2), (2, 1), (3, 10), (5, 7), (6, 5), (11, 1)], 4, Fraction(5, 2)
+)
+
 
 @pytest.fixture(scope="session")
 def quartet() -> TrajectorySet:

@@ -192,16 +192,13 @@ def _assert_sweep_matches_referees(S):
     # Equality compares the masks alone, so the order is compared as well.
     for order in (holes, holes[::-1], tuple(shuffled)):
         poset = build_poset(S, order)
-        assert poset == reference and poset.above == reference.above
+        assert poset == reference and poset.succ == reference.succ
     poset, subset = build_poset(S, holes[:3]), poset_by_inclusion(S, holes[:3])
-    assert poset == subset and poset.above == subset.above
-    # Each row's mask, read bit by bit, is the row of strict supersets by
-    # pairwise comparison, and so is the decoded ``succ``.
+    assert poset == subset and poset.succ == subset.succ
+    # Each row is the row of strict supersets by pairwise comparison.
     poset = build_poset(S, holes)
-    elements, m = reference.elements, len(reference)
-    rows = tuple(tuple(j for j, b in enumerate(elements) if a < b) for a in elements)
-    assert tuple(tuple(j for j in range(m) if mask >> (m - 1 - j) & 1) for mask in poset.above) == rows
-    assert poset.succ == rows
+    elements = reference.elements
+    assert poset.succ == tuple(tuple(j for j, b in enumerate(elements) if a < b) for a in elements)
     assert poset.successors == reference.successors
     # The elements decoded from the masks are the referee's side-sets.
     full = S.all_indices()
@@ -540,22 +537,22 @@ class TestSeparatorPoset:
         for holes, elements in (((), (e, s)), (bounded, (e, a, b, s))):
             poset, reference = build_poset(two_verticals, holes), poset_by_inclusion(two_verticals, holes)
             assert poset.elements == elements
-            assert poset == reference and poset.above == reference.above
+            assert poset == reference and poset.succ == reference.succ
 
     def test_order_built_on_first_read(self):
         S = make_instance(14100, 9)
         poset = build_poset(S, compute_holes(S))
-        assert not {"above", "succ", "successors", "elements"} & set(vars(poset))
-        above = poset.above
-        assert vars(poset)["above"] is above and poset.above is above
-        assert "succ" not in vars(poset)
+        assert not {"succ", "successors", "elements"} & set(vars(poset))
+        succ = poset.succ
+        assert vars(poset)["succ"] is succ and poset.succ is succ
+        assert set(vars(poset)) == {"masks", "succ"}
 
     def test_equal_masks_are_equal_posets(self):
         S = make_instance(14101, 9)
         holes = compute_holes(S)
         poset, reference = build_poset(S, holes), poset_by_inclusion(S, holes)
         # The referee's order is filled in; the built one is not read yet.
-        assert "above" in vars(reference) and "above" not in vars(poset)
+        assert "succ" in vars(reference) and "succ" not in vars(poset)
         for twin in (reference, SeparatorPoset(poset.masks)):
             assert twin == poset and hash(twin) == hash(poset)
         assert build_poset(S, holes[:3]) != poset
@@ -564,7 +561,7 @@ class TestSeparatorPoset:
 class TestOrderBudget:
     """Every reader of the order refuses past MAX_CHAIN_PAIRS, keeping nothing."""
 
-    @pytest.mark.parametrize("reader", ["above", "succ", "successors"])
+    @pytest.mark.parametrize("reader", ["succ", "successors"])
     def test_each_reader_refuses_and_keeps_nothing(self, reader, monkeypatch):
         S = make_instance(4710, 10)
         monkeypatch.setattr(arrangement, "MAX_CHAIN_PAIRS", 5)

@@ -112,9 +112,16 @@ class TestAsScalar:
             as_scalar(raw)
 
     def test_bound_is_inclusive(self):
-        assert as_scalar("1e4300") == 10**4300
-        assert as_scalar("1e-4300") == Fraction(1, 10**4300)
+        # 4300 digits in the numerator or denominator is the most allowed.
+        assert as_scalar("1e4299") == 10**4299
+        assert as_scalar("-1e-4299") == Fraction(-1, 10**4299)
         assert as_scalar("-1.5e-2") == Fraction(-3, 200)
+
+    @pytest.mark.parametrize("raw", ["1e4300", "1e-4300", "12e4299", "-1e4300"])
+    def test_more_than_4300_digits_rejected(self, raw):
+        # The exponent passes, but the value could not be written back.
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            as_scalar(raw)
 
     def test_ratios_and_plain_decimals_unaffected(self):
         assert as_scalar("3/4") == Fraction(3, 4)

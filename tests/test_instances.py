@@ -49,6 +49,12 @@ class TestParse:
             ('{"name": 3, "trajectories":[{"x0":"0","x1":"1"}]}', "name"),
             # json raises RecursionError here, not JSONDecodeError.
             pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="deep-nesting"),
+            # ... and a plain ValueError on an int literal past 4300 digits.
+            pytest.param(
+                '{"pad": 1' + "0" * 5000 + ', "trajectories":[{"x0":"0","x1":"1"}]}',
+                "invalid JSON",
+                id="int-past-digit-limit",
+            ),
         ],
     )
     def test_malformed_documents(self, doc, fragment):
@@ -56,15 +62,20 @@ class TestParse:
             parse_instance(doc)
         assert fragment in str(err.value)
 
-    @pytest.mark.parametrize("raw", ["1e4301", "1e-4301", "-2.5E+4301", "1e00004_301"])
+    @pytest.mark.parametrize(
+        "raw", ["1e4301", "1e-4301", "-2.5E+4301", "1e00004_301", "1e4300", "1e-4300", "12e4299"]
+    )
     def test_huge_decimal_exponent_rejected(self, raw):
         doc = '{"trajectories":[{"x0":"0","x1":"%s"}]}' % raw
         with pytest.raises(InstanceError, match=r"trajectories\[0\]\.x1"):
             parse_instance(doc)
 
     def test_largest_decimal_exponent_parses(self):
-        S = parse_instance('{"trajectories":[{"x0":"1e4300","x1":"-1e-4300"}]}')
-        assert S[0].x0 == 10**4300 and S[0].x1 == Fraction(-1, 10**4300)
+        S = parse_instance('{"trajectories":[{"x0":"1e4299","x1":"-1e-4299"}]}')
+        assert S[0].x0 == 10**4299 and S[0].x1 == Fraction(-1, 10**4299)
+        # Values at the bound can be written back.
+        assert parse_instance(dumps_instance(S)) == S
+
 
     def test_duplicate_rows_rejected(self):
         doc = '{"trajectories":[{"x0":"1","x1":"2"},{"x0":"1","x1":"2"}]}'

@@ -21,8 +21,10 @@ from kinclust import (
 from kinclust.oracle import bottom_leftmost_index, brute_opt_md
 
 from conftest import (
+    BSEARCH_WORST,
     DEGENERATE_FAMILIES,
     GP_BOUND,
+    GP_WORST,
     KCENTER_BOUND,
     make_instance,
     mirrored,
@@ -68,6 +70,19 @@ def kcenter_by_definition(S, k):
         centers.append(max(range(n), key=lambda i: (min(dist(c, i) for c in centers), -i)))
     assignment = tuple(min(centers, key=lambda c: (dist(c, i), c)) for i in range(n))
     return tuple(centers), assignment
+
+
+def kcenter_owners(result):
+    """(centers, each member's center) of a ``kcenter_gonzalez`` result.
+
+    Each cluster must hold exactly one center, the owner of its members.
+    """
+    centers, clustering = result
+    owner = {}
+    for C in clustering:
+        (c,) = set(centers.centers) & C
+        owner.update(dict.fromkeys(C, c))
+    return centers.centers, tuple(owner[i] for i in range(len(owner)))
 
 
 class TestMdValue:
@@ -205,6 +220,16 @@ class TestBsearch:
                 opt = brute_opt_md(S, k).value
                 assert sol.value <= (GP_BOUND + eps) * opt
 
+    def test_worst_found_ratios_within_bound(self):
+        # The adversarial search's worst instance for each GP_FACTOR bound.
+        pairs, D, ratio = GP_WORST
+        S = TrajectorySet.from_pairs(pairs)
+        assert md_value(S, gp(S, D)) / D == ratio <= GP_BOUND
+        pairs, k, ratio = BSEARCH_WORST
+        S = TrajectorySet.from_pairs(pairs)
+        assert bsearch(S, k).value / brute_opt_md(S, k).value == ratio
+        assert ratio <= GP_BOUND + Fraction(1, 20)
+
     def test_final_interval_and_iteration_bound(self):
         for trial in range(15):
             S = make_instance(5300 + trial, 6)
@@ -245,8 +270,7 @@ class TestKcenter:
         for seed in range(3):
             S = make_instance(19700 + seed, n)
             for k in (1, 2, 4, n if n <= 24 else 9):
-                centers, _ = kcenter_gonzalez(S, k)
-                assert (centers.centers, centers.assignment) == kcenter_by_definition(S, k)
+                assert kcenter_owners(kcenter_gonzalez(S, k)) == kcenter_by_definition(S, k)
 
     @pytest.mark.parametrize("pairs", list(TIE_FAMILIES.values()), ids=list(TIE_FAMILIES))
     def test_matches_definition_on_ties(self, pairs):
@@ -254,8 +278,7 @@ class TestKcenter:
         # the lowest index, and the nearest center with the lowest index.
         S = TrajectorySet.from_pairs(pairs)
         for k in range(1, len(S) + 1):
-            centers, _ = kcenter_gonzalez(S, k)
-            assert (centers.centers, centers.assignment) == kcenter_by_definition(S, k)
+            assert kcenter_owners(kcenter_gonzalez(S, k)) == kcenter_by_definition(S, k)
 
     def test_out_of_range(self, quartet):
         for bad in (0, 5):
@@ -265,10 +288,10 @@ class TestKcenter:
     def test_assignment_is_nearest_center(self):
         for trial in range(20):
             S = make_instance(5500 + trial, 7)
-            centers, _ = kcenter_gonzalez(S, 3)
-            for i, c in enumerate(centers.assignment):
+            centers, owner = kcenter_owners(kcenter_gonzalez(S, 3))
+            for i, c in enumerate(owner):
                 d = pairwise_diameter(S[i], S[c])
-                best = min(pairwise_diameter(S[i], S[x]) for x in centers.centers)
+                best = min(pairwise_diameter(S[i], S[x]) for x in centers)
                 assert d == best
 
     def test_radius_at_most_twice_optimum(self):
@@ -276,10 +299,8 @@ class TestKcenter:
             n = 5 + trial % 3
             S = make_instance(5700 + trial, n)
             for k in (2, 3):
-                centers, _ = kcenter_gonzalez(S, k)
-                radius = max(
-                    pairwise_diameter(S[i], S[c]) for i, c in enumerate(centers.assignment)
-                )
+                _, owner = kcenter_owners(kcenter_gonzalez(S, k))
+                radius = max(pairwise_diameter(S[i], S[c]) for i, c in enumerate(owner))
                 assert radius <= 2 * brute_opt_md(S, k).value
 
     def test_ratio_on_random_instances(self):
