@@ -34,8 +34,8 @@ for i in range(len(S)):
 # piecewise-linear curves with breakpoints where the extreme member changes.
 left = envelope(S, S.all_indices(), "left")
 right = envelope(S, S.all_indices(), "right")
-print("\nleft envelope breakpoints: ", [(str(t), str(x)) for t, x in left.breakpoints])
-print("right envelope breakpoints:", [(str(t), str(x)) for t, x in right.breakpoints])
+print("\nleft envelope breakpoints: ", [(str(t), str(x)) for t, x in left])
+print("right envelope breakpoints:", [(str(t), str(x)) for t, x in right])
 
 exact = diameter(S, S.all_indices())
 print(f"\ndiameter of the whole set (exact area): {exact} = {float(exact):.6f}")

@@ -21,7 +21,6 @@ from .arrangement import (
 )
 from .geometry import (
     Clustering,
-    Envelope,
     Solution,
     Trajectory,
     TrajectorySet,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Clustering",
     "CenterSet",
-    "Envelope",
     "GeneratorConfig",
     "GoodSequence",
     "GP_FACTOR",

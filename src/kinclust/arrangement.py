@@ -28,8 +28,8 @@ _ONE = Fraction(1)
 # crossings) * n while the sweep counts the crossings in (0, 1); past the
 # cap ``compute_holes`` raises ValueError before it builds any hole.  Holes
 # keep int masks, so the members cost memory only once their left sets are
-# read (``kinclust holes``, ``render --holes``): about 28 bytes of peak RSS
-# per unit of the bound on CPython 3.11.7.
+# read, which only ``kinclust holes`` does: about 28 bytes of peak RSS per
+# unit of the bound on CPython 3.11.7.
 # Seed-1 instances: the bound is 0.27 million at n=128, 16.2 million at
 # n=512 (0.28 s and +15 MB for the holes alone, 2.2 s and +454 MB with
 # every left set read) and 55 million at n=768, which the cap refuses.

@@ -2,7 +2,9 @@
 
 Subcommands: ``holes`` (face table), ``sd`` and ``md`` (solvers), ``gen``
 (seeded instance generator), ``render`` (SVG).  Exit codes: 0 on success,
-1 on any input or usage error.
+1 on any input or usage error.  A command builds its whole text before it
+writes any, so a value that cannot be written (an int past CPython's
+4300-digit ``str`` limit) leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -59,10 +61,11 @@ def _load(path: str) -> TrajectorySet:
 def _cmd_holes(args) -> int:
     S = _load(args.file)
     holes = compute_holes(S)
-    print(f"{len(holes)} holes")
+    lines = [f"{len(holes)} holes"]
     for h in holes:
         left = "{" + ", ".join(str(i) for i in sorted(h.left_set)) + "}"
-        print(f"left={left} t=({h.t_lo}, {h.t_hi}) {h.kind}")
+        lines.append(f"left={left} t=({h.t_lo}, {h.t_hi}) {h.kind}")
+    print(*lines, sep="\n")
     return 0
 
 
@@ -86,10 +89,13 @@ def _cmd_solve(args) -> int:
         else:
             sol = _SOLVERS[args.command, args.solver](S, args.k)
         clustering, value = sol.clustering, sol.value
-    for i, C in enumerate(clustering):
-        print(f"cluster {i}: {sorted(C)} diameter = {_fmt(diameter(S, C))}")
-    print(tally or f"clusters: {len(clustering)}")
-    print(f"{_OBJECTIVE_NAMES[args.command]} = {_fmt(value)}")
+    lines = [
+        f"cluster {i}: {sorted(C)} diameter = {_fmt(diameter(S, C))}"
+        for i, C in enumerate(clustering)
+    ]
+    lines.append(tally or f"clusters: {len(clustering)}")
+    lines.append(f"{_OBJECTIVE_NAMES[args.command]} = {_fmt(value)}")
+    print(*lines, sep="\n")
     return 0
 
 

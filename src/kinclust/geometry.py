@@ -9,7 +9,6 @@ relies on is computed exactly and reproducibly.
 
 from __future__ import annotations
 
-import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -228,25 +227,6 @@ def pairwise_diameter(a: Trajectory, b: Trajectory) -> Fraction:
     return p / (2 * q)
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """Piecewise-linear boundary of a span: breakpoints (t, x), t increasing 0..1."""
-
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
-
-    def value(self, t: ScalarLike) -> Fraction:
-        t = as_scalar(t)
-        if not _ZERO <= t <= _ONE:
-            raise ValueError(f"time {t} outside [0, 1]")
-        times = [bp[0] for bp in self.breakpoints]
-        i = bisect.bisect_right(times, t) - 1
-        if i >= len(self.breakpoints) - 1:
-            return self.breakpoints[-1][1]
-        t0, x0 = self.breakpoints[i]
-        t1, x1 = self.breakpoints[i + 1]
-        return x0 + (x1 - x0) * (t - t0) / (t1 - t0)
-
-
 def _upper_chain(lines: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """The lines carrying max(a + v*t) over 0 <= t <= 1, in time order.
 
@@ -447,31 +427,54 @@ class SpanKernel:
         return Fraction(best_p, 2 * self.den * best_q)
 
 
-def envelope(S: TrajectorySet, C: Iterable[int], side: Side) -> Envelope:
+def envelope(
+    S: TrajectorySet, C: Iterable[int], side: Side
+) -> tuple[tuple[Fraction, Fraction], ...]:
     """Left (pointwise min) or right (pointwise max) side of the cluster's span.
 
-    Breakpoints appear only where the boundary switches between member
-    trajectories; switching members cross at the breakpoint, so consecutive
-    pieces always have distinct slopes.  They come from the same convex
-    chain of lines that ``diameter`` integrates.
+    The (t, x) points of the piecewise-linear boundary, t increasing from
+    0 to 1.  Breakpoints appear only where the boundary switches between
+    member trajectories; switching members cross at the breakpoint, so
+    consecutive pieces always have distinct slopes.  They come from the
+    same convex chain of lines that ``diameter`` integrates.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    members = as_cluster(C, len(S))
-    if not members:
-        raise ValueError("envelope of an empty cluster")
     kernel = S.kernel
-    lines = sorted(map(kernel.lines.__getitem__, members))
-    # The left envelope is the right envelope of the mirrored lines, negated.
+    mask = kernel.mask(C)
+    if not mask:
+        raise ValueError("envelope of an empty cluster")
+    return _span_side(kernel, mask, side, _ZERO, _ONE)
+
+
+def _span_side(
+    kernel: SpanKernel, mask: int, side: Side, lo: Fraction, hi: Fraction
+) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The (t, x) points of one side of the flagged members' span on [lo, hi].
+
+    ``mask`` flags at least one member, and 0 <= lo < hi <= 1.  The points
+    are the side's values at lo and at hi and, between them, the
+    breakpoints of its clipped chain strictly inside the window.  The left
+    side is the upper chain of the mirrored lines, negated; at t = p / q
+    a side is sign * max(a*q + v*p) / (den*q) over its chain's lines.
+    """
+    lines = sorted(_picked(kernel.lines, mask))
     sign = 1 if side == "right" else -1
     chain = _upper_chain(lines if sign == 1 else _mirrored(lines))
     den = kernel.den
-    points = [(_ZERO, Fraction(sign * chain[0][1], den))]
+
+    def end(t: Fraction) -> tuple[Fraction, Fraction]:
+        p, q = t.numerator, t.denominator
+        return t, Fraction(sign * max(a * q + v * p for v, a in chain), den * q)
+
+    points = [end(lo)]
+    lp, lq, hp, hq = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     for (v1, a1), (v2, a2) in zip(chain, chain[1:]):
-        dv, da = v2 - v1, a1 - a2
-        points.append((Fraction(da, dv), Fraction(sign * (a1 * dv + v1 * da), dv * den)))
-    points.append((_ONE, Fraction(sign * sum(chain[-1]), den)))
-    return Envelope(tuple(points))
+        dv, da = v2 - v1, a1 - a2  # the breakpoint is at t = da / dv
+        if lp * dv < da * lq and da * hq < hp * dv:
+            points.append((Fraction(da, dv), Fraction(sign * (a1 * dv + v1 * da), dv * den)))
+    points.append(end(hi))
+    return tuple(points)
 
 
 def diameter(S: TrajectorySet, C: Iterable[int]) -> Fraction:

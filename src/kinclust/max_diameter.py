@@ -9,6 +9,7 @@ search over D.  ``kcenter_gonzalez`` instead reduces to metric k-center
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -34,6 +35,14 @@ GP_FACTOR = Fraction("2.7072")
 # n=10^5 at k=4 takes 400,000 terms and n=2000 at k=1000 two million.  Past
 # the cap the call raises ValueError before the first center.
 MAX_CENTER_WORK = 15_000_000
+
+# Most halvings one ``bsearch`` call may make, counted before the first gp
+# call; past the cap it raises ValueError.  Generated instances need 9-18
+# (the tier-1 tests) and 10-14 (the benchmark); eps = 2^-980 needs 990, in
+# 0.24 s at n=256, and three lines with 4000-digit coordinates need 996, in
+# 1.3 s, on CPython 3.11.7.  Coordinates 1e4299 and 1e-4299 apart need
+# 14,286 halvings of about 5 ms each.
+MAX_BSEARCH_ROUNDS = 1000
 
 
 def md_value(S: TrajectorySet, clustering: Iterable[Iterable[int]]) -> Fraction:
@@ -94,8 +103,9 @@ def bsearch(S: TrajectorySet, k: int, eps: ScalarLike = Fraction(1, 20)) -> Solu
     delta = eps * (minimum pairwise diameter) / GP_FACTOR, keeping the
     invariant that gp at b needs at most k clusters.  The result is within
     a factor GP_FACTOR + eps of the best possible maximum diameter.  All
-    arithmetic stays rational, so the loop guard is an exact comparison.
-    k must satisfy 1 <= k <= n; k == n gives the singletons.
+    arithmetic stays rational, so the number of halvings is known exactly
+    before the first gp call; past MAX_BSEARCH_ROUNDS the call raises
+    ValueError.  k must satisfy 1 <= k <= n; k == n gives the singletons.
     """
     eps = as_scalar(eps)
     if eps <= 0:
@@ -116,12 +126,18 @@ def bsearch(S: TrajectorySet, k: int, eps: ScalarLike = Fraction(1, 20)) -> Solu
     delta = eps * S.kernel.min_pair_area() / GP_FACTOR
     a = Fraction(0)
     b = diameter(S, S.all_indices())
+    # Round t leaves an interval of width b / 2^t: the search stops at the
+    # least t with b <= delta * 2^t.
+    rounds = (math.ceil(b / delta) - 1).bit_length()
+    if rounds > MAX_BSEARCH_ROUNDS:
+        raise ValueError(
+            f"bsearch: {rounds} halvings to reach delta = eps * (least pair diameter) "
+            f"/ GP_FACTOR is more than MAX_BSEARCH_ROUNDS = {MAX_BSEARCH_ROUNDS}"
+        )
     clusters: Clustering | None = None
-    iterations = 0
-    while b - a > delta:
+    for _ in range(rounds):
         D = (a + b) / 2
         clusters = gp(S, D)
-        iterations += 1
         if len(clusters) > k:
             a = D
         else:
@@ -136,7 +152,7 @@ def bsearch(S: TrajectorySet, k: int, eps: ScalarLike = Fraction(1, 20)) -> Solu
         "bsearch",
         interval=(a, b),
         delta=delta,
-        iterations=iterations,
+        iterations=rounds,
     )
 
 

@@ -24,7 +24,6 @@ from typing import Iterator
 from .arrangement import Hole, SeparatorPoset, compute_holes, is_well_separated
 from .geometry import (
     Clustering,
-    Envelope,
     Objective,
     Side,
     Solution,
@@ -277,8 +276,8 @@ def span_area_grid(S: TrajectorySet, C) -> Fraction:
     return sum(((w0 + w1) * (t1 - t0) / 2 for t0, t1, w0, w1 in pieces), _ZERO)
 
 
-def envelope_grid(S: TrajectorySet, C, side: Side) -> Envelope:
-    """Envelope by brute force: the extreme member at every slab midpoint.
+def envelope_grid(S: TrajectorySet, C, side: Side) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Envelope points by brute force: the extreme member at every slab midpoint.
 
     Between consecutive pairwise crossing times one member carries the
     boundary; a breakpoint is emitted wherever that member changes.  A
@@ -300,7 +299,7 @@ def envelope_grid(S: TrajectorySet, C, side: Side) -> Envelope:
         for lo, hi in zip(grid, grid[1:])
     ]
     breaks = [k for k in range(1, len(actives)) if actives[k] != actives[k - 1]]
-    return Envelope(tuple((grid[k], boundary(grid[k])) for k in [0, *breaks, len(grid) - 1]))
+    return tuple((grid[k], boundary(grid[k])) for k in [0, *breaks, len(grid) - 1])
 
 
 def holes_slab(S: TrajectorySet) -> tuple[Hole, ...]:

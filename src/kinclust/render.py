@@ -11,19 +11,10 @@ from fractions import Fraction
 from typing import Iterable
 
 from .arrangement import compute_holes
-from .geometry import Envelope, TrajectorySet, check_clustering, envelope
+from .geometry import TrajectorySet, _span_side, check_clustering, envelope
 
 _WIDTH, _HEIGHT = 640, 480  # pixels
 _PALETTE = ("#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#b07aa1", "#76b7b2")
-
-
-def _env_points(
-    env: Envelope, lo: Fraction, hi: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    points = [(lo, env.value(lo))]
-    points += [(t, x) for t, x in env.breakpoints if lo < t < hi]
-    points.append((hi, env.value(hi)))
-    return points
 
 
 def render_svg(
@@ -50,10 +41,17 @@ def render_svg(
     pad = (x_max - x_min) / 20 if x_max > x_min else Fraction(1)
     x_min, x_max = x_min - pad, x_max + pad
     margin = 20.0
-    span_w = float(x_max - x_min)
+    # Pixels are floats: every coordinate and the range between the extremes
+    # must convert to a finite, nonzero float.
+    try:
+        left_edge, _, span_w = float(x_min), float(x_max), float(x_max - x_min)
+    except OverflowError:
+        span_w = 0.0
+    if not span_w:
+        raise ValueError("render_svg: the coordinates' range does not fit in floats")
 
     def px(x: Fraction) -> float:
-        return margin + (float(x) - float(x_min)) / span_w * (_WIDTH - 2 * margin)
+        return margin + (float(x) - left_edge) / span_w * (_WIDTH - 2 * margin)
 
     def py(t: Fraction) -> float:
         return _HEIGHT - margin - float(t) * (_HEIGHT - 2 * margin)
@@ -77,23 +75,23 @@ def render_svg(
     ]
 
     if overlay == "clustering":
-        zero, one = Fraction(0), Fraction(1)
         for idx, C in enumerate(clusters):
             if len(C) < 2:
                 continue  # singleton spans have no area
-            left = envelope(S, C, "left")
-            right = envelope(S, C, "right")
-            pts = _env_points(left, zero, one) + _env_points(right, zero, one)[::-1]
+            pts = envelope(S, C, "left") + envelope(S, C, "right")[::-1]
             color = _PALETTE[idx % len(_PALETTE)]
             parts.append(polygon(pts, f"fill:{color};fill-opacity:0.35;stroke:none", "span"))
 
     if overlay == "holes":
+        kernel, full = S.kernel, (1 << len(S)) - 1
         for h in compute_holes(S):
             if h.kind != "bounded":
                 continue
-            wall_l = envelope(S, h.left_set, "right")
-            wall_r = envelope(S, S.all_indices() - h.left_set, "left")
-            pts = _env_points(wall_l, h.t_lo, h.t_hi) + _env_points(wall_r, h.t_lo, h.t_hi)[::-1]
+            # The face lies between the right side of its left set and the
+            # left side of the rest.
+            wall_l = _span_side(kernel, h.mask, "right", h.t_lo, h.t_hi)
+            wall_r = _span_side(kernel, full ^ h.mask, "left", h.t_lo, h.t_hi)
+            pts = wall_l + wall_r[::-1]
             parts.append(
                 polygon(pts, "fill:#dddddd;fill-opacity:0.6;stroke:#555555;stroke-width:1", "hole")
             )

@@ -105,6 +105,36 @@ class TestHoles:
         assert not out.exists()
 
 
+# Coordinates whose exact values outgrow what the commands can print or draw.
+WIDE = (
+    '{"trajectories": [{"x0": "1e4299", "x1": "0"}, {"x0": "1/3", "x1": "2"}, '
+    '{"x0": "1e-4299", "x1": "1/7"}]}\n'
+)
+
+
+class TestWideCoordinates:
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["holes", "{file}"], "digits"),
+            (["render", "{file}", "--holes", "-o", "{out}"], "does not fit in floats"),
+            (["sd", "exact", "{file}", "-k", "2"], "digits"),
+            (["md", "kcenter", "{file}", "-k", "2"], "digits"),
+            (["md", "wellsep", "{file}", "-k", "2"], "digits"),
+            (["md", "bsearch", "{file}", "-k", "2"], "MAX_BSEARCH_ROUNDS"),
+        ],
+        ids=lambda arg: " ".join(arg[:2]) if isinstance(arg, list) else "",
+    )
+    def test_one_error_line_and_no_output(self, argv, fragment, tmp_path, capsys):
+        path, out = tmp_path / "wide.json", tmp_path / "out.svg"
+        path.write_text(WIDE)
+        assert main([arg.format(file=path, out=out) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, fragment)
+        assert not out.exists()
+
+
 class TestSd:
     def test_wellsep_at_least_brute(self, nested_file, capsys):
         assert main(["sd", "brute", nested_file, "-k", "3"]) == 0

@@ -152,12 +152,12 @@ class TestEnvelope:
         S = TrajectorySet.from_pairs([("0", "2")])
         for side in ("left", "right"):
             env = envelope(S, {0}, side)
-            assert env.breakpoints == ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2)))
+            assert env == ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2)))
 
     def test_two_crossing_segments_left(self):
         S = TrajectorySet.from_pairs([("0", "2"), ("2", "0")])
         env = envelope(S, {0, 1}, "left")
-        assert env.breakpoints == (
+        assert env == (
             (Fraction(0), Fraction(0)),
             (Fraction(1, 2), Fraction(1)),
             (Fraction(1), Fraction(0)),
@@ -171,30 +171,28 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
             envelope(quartet, {0, 1}, "up")
 
-    def test_value_rejects_time_outside_strip(self, quartet):
-        env = envelope(quartet, quartet.all_indices(), "right")
-        for t in (Fraction(3, 2), Fraction(-1, 10)):
-            with pytest.raises(ValueError, match="outside"):
-                env.value(t)
-
     def test_pointwise_equals_direct_min_max(self):
+        # Every point is the extreme position at its time, and so is the
+        # linear interpolation at each midpoint between consecutive points.
         rng = random.Random(23)
-        S = TrajectorySet(tuple(random_trajectory(rng) for _ in range(6)))
-        left = envelope(S, S.all_indices(), "left")
-        right = envelope(S, S.all_indices(), "right")
-        for _ in range(100):
-            t = Fraction(rng.randint(0, 1000), 1000)
-            positions = [s.position(t) for s in S]
-            assert left.value(t) == min(positions)
-            assert right.value(t) == max(positions)
+        for trial in range(10):
+            S = TrajectorySet(tuple(random_trajectory(rng) for _ in range(6)))
+            for side, pick in (("left", min), ("right", max)):
+                points = envelope(S, S.all_indices(), side)
+                assert [t for t, _ in points] == sorted({t for t, _ in points})
+                assert points[0][0] == 0 and points[-1][0] == 1
+                for t, x in points:
+                    assert x == pick(s.position(t) for s in S)
+                for (t0, x0), (t1, x1) in zip(points, points[1:]):
+                    t = (t0 + t1) / 2
+                    assert (x0 + x1) / 2 == pick(s.position(t) for s in S)
 
     def test_consecutive_segments_have_distinct_slopes(self):
         rng = random.Random(29)
         for trial in range(20):
             S = TrajectorySet(tuple(random_trajectory(rng) for _ in range(5)))
             for side in ("left", "right"):
-                env = envelope(S, S.all_indices(), side)
-                bps = env.breakpoints
+                bps = envelope(S, S.all_indices(), side)
                 slopes = [
                     (x1 - x0) / (t1 - t0)
                     for (t0, x0), (t1, x1) in zip(bps, bps[1:])

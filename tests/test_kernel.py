@@ -38,7 +38,7 @@ from kinclust import (
     sd_exact_goodseq,
     sd_wellsep_dp,
 )
-from kinclust.geometry import SpanKernel, _picked
+from kinclust.geometry import SpanKernel, _picked, _span_side
 from kinclust.oracle import (
     bottom_leftmost_index,
     envelope_grid,
@@ -63,7 +63,7 @@ def _assert_matches_referees(S, C):
     assert diameter(S, C) == span_area_grid(S, C)
     if C:
         for side in ("left", "right"):
-            assert envelope(S, C, side).breakpoints == envelope_grid(S, C, side).breakpoints
+            assert envelope(S, C, side) == envelope_grid(S, C, side)
 
 
 def _subsets(rng, n, count):
@@ -97,6 +97,29 @@ class TestKernelMatchesReferees:
         rng = random.Random(n)
         for C in [range(n), *_subsets(rng, n, 6), [0], [n - 1]]:
             _assert_matches_referees(S, frozenset(C))
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [*(make_instance(n, n) for n in range(2, 13)), *DEGENERATE_FAMILIES.values()],
+        ids=[*(f"n={n}" for n in range(2, 13)), *DEGENERATE_FAMILIES],
+    )
+    def test_hole_walls(self, pairs):
+        # A bounded hole lies between the right side of its left set and the
+        # left side of the rest, each clipped to the hole's time window.
+        S = pairs if isinstance(pairs, TrajectorySet) else TrajectorySet.from_pairs(pairs)
+        full = S.all_indices()
+        for h in compute_holes(S):
+            if h.kind != "bounded":
+                continue
+            lo, hi = h.t_lo, h.t_hi
+            for members, side, pick in ((h.left_set, "right", max), (full - h.left_set, "left", min)):
+                inside = [p for p in envelope_grid(S, members, side) if lo < p[0] < hi]
+                expected = (
+                    (lo, pick(S[i].position(lo) for i in members)),
+                    *inside,
+                    (hi, pick(S[i].position(hi) for i in members)),
+                )
+                assert _span_side(S.kernel, S.kernel.mask(members), side, lo, hi) == expected
 
     def test_empty_cluster(self):
         S = make_instance(3, 5)

@@ -245,6 +245,24 @@ class TestBsearch:
                 steps += 1
             assert sol.iterations <= steps + 1
 
+    @pytest.mark.parametrize(
+        "S",
+        [
+            *(make_instance(1, n) for n in (12, 64, 2000)),
+            TrajectorySet.from_pairs([(i, -i) for i in range(-99, 100)]),
+        ],
+        ids=["n=12", "n=64", "n=2000", "pencil-199"],
+    )
+    def test_iterations_are_the_least_halving_count(self, S):
+        sol = bsearch(S, 3)
+        width = diameter(S, S.all_indices())
+        rounds = 0
+        while width > sol.delta * 2**rounds:
+            rounds += 1
+        assert sol.iterations == rounds
+        a, b = sol.interval
+        assert b - a == width / 2**rounds
+
     def test_delta_uses_min_pairwise_diameter(self):
         S = make_instance(97, 5)
         eps = Fraction(1, 20)
@@ -312,6 +330,29 @@ class TestKcenter:
                     continue
                 _, clustering = kcenter_gonzalez(S, k)
                 assert md_value(S, clustering) <= KCENTER_BOUND * brute_opt_md(S, k).value
+
+
+class TestBsearchRoundGuard:
+    def test_raises_past_the_cap_before_any_gp_call(self, monkeypatch):
+        S = make_instance(5960, 8)
+        expected = bsearch(S, 3)
+
+        def no_gp(*args):
+            raise AssertionError("gp ran past the cap")
+
+        monkeypatch.setattr(max_diameter, "MAX_BSEARCH_ROUNDS", expected.iterations - 1)
+        with monkeypatch.context() as m:
+            m.setattr(max_diameter, "gp", no_gp)
+            with pytest.raises(ValueError, match=f"{expected.iterations} halvings"):
+                bsearch(S, 3)
+        monkeypatch.setattr(max_diameter, "MAX_BSEARCH_ROUNDS", expected.iterations)
+        assert bsearch(S, 3) == expected
+
+    def test_wide_coordinates_refused(self):
+        # 14,286 halvings: each costs milliseconds on 14,000-digit integers.
+        S = TrajectorySet.from_pairs([("1e4299", "0"), ("1/3", "2"), ("1e-4299", "1/7")])
+        with pytest.raises(ValueError, match="14286 halvings .* MAX_BSEARCH_ROUNDS"):
+            bsearch(S, 2)
 
 
 class TestKcenterWorkGuard:
