@@ -31,8 +31,9 @@ _ONE = Fraction(1)
 # read, which only ``kinclust holes`` does: about 28 bytes of peak RSS per
 # unit of the bound on CPython 3.11.7.
 # Seed-1 instances: the bound is 0.27 million at n=128, 16.2 million at
-# n=512 (0.28 s and +15 MB for the holes alone, 2.2 s and +454 MB with
-# every left set read) and 55 million at n=768, which the cap refuses.
+# n=512 (0.16-0.31 s and +15 MB for the holes alone, 1.3-1.9 s and +454
+# MB with every left set read) and 55 million at n=768, which the cap
+# refuses.
 MAX_HOLE_MEMBERS = 20_000_000
 
 # Most comparable pairs P of side-sets that a poset's order may hold, one
@@ -91,14 +92,17 @@ def compute_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     times inside (0, 1); there the lines through each crossing point form
     a contiguous block of the order that simply reverses, so the prefixes
     strictly inside such a block close (t_hi = t) and new ones open
-    (t_lo = t), while every other face carries on.  The gap above a fixed
-    prefix is a concave function of time, hence positive on a single
-    interval, so no face ever re-opens and each is emitted exactly once
-    with its full time extent.  Crossing times come from the kernel's
-    integer lines; prefixes are the kernel's int masks, and each hole
-    keeps its mask, so no frozenset is built until a left set is read.
-    Raises ValueError, before building any hole, when the table's left
-    sets may hold more than MAX_HOLE_MEMBERS members.
+    (t_lo = t), while every other face carries on.  Most times hold one
+    crossing of two lines, which swaps two neighbours at places lo and
+    lo + 1: the face of size lo + 1 closes and one opens, the size-lo
+    prefix plus the line now at lo, with no sort or grouping.  The gap
+    above a fixed prefix is a concave function of time, hence positive on
+    a single interval, so no face ever re-opens and each is emitted
+    exactly once with its full time extent.  Crossing times come from the
+    kernel's integer lines; prefixes are the kernel's int masks, and each
+    hole keeps its mask, so no frozenset is built until a left set is
+    read.  Raises ValueError, before building any hole, when the table's
+    left sets may hold more than MAX_HOLE_MEMBERS members.
     """
     kernel = S.kernel
     if kernel.holes is None:
@@ -159,9 +163,27 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     seen = {face[0] for face in faces}
 
     for _, t, p, q in events:
+        members = crossing[p, q]
+        if len(members) == 2:
+            # The one crossing at t swaps two neighbours: only the prefix
+            # of size lo + 1 changes, by the line now at lo.
+            i, j = members
+            if place[i] > place[j]:
+                i, j = j, i
+            lo = place[i]
+            order[lo], order[lo + 1] = j, i
+            place[i], place[j] = lo + 1, lo
+            faces[open_slot[lo + 1]][2] = t
+            mask = faces[open_slot[lo]][0] | bit[j]
+            if mask in seen:
+                raise AssertionError(f"face {list(_picked(range(n), mask))} re-opened at t={t}")
+            seen.add(mask)
+            open_slot[lo + 1] = len(faces)
+            faces.append([mask, t, None])
+            continue
         # Lines through one crossing point are adjacent in the order and
         # share their position at t, the integer a*q + v*p over den*q.
-        members = sorted(crossing[p, q], key=place.__getitem__)
+        members = sorted(members, key=place.__getitem__)
         for _, pencil in groupby(members, key=lambda i: lines[i][1] * q + lines[i][0] * p):
             pencil = list(pencil)
             lo, hi = place[pencil[0]], place[pencil[-1]]
@@ -333,4 +355,5 @@ def build_poset(S: TrajectorySet, holes: tuple[Hole, ...]) -> SeparatorPoset:
             raise ValueError(f"build_poset: a hole of {h.n} trajectories, not {n}")
         sides.add(h.mask)
         sides.add(full ^ h.mask)
-    return SeparatorPoset(tuple(sorted(sides, key=lambda mask: (mask.bit_count(), -mask))))
+    # Two sorts keyed in C: by descending mask, then stably by size.
+    return SeparatorPoset(tuple(sorted(sorted(sides, reverse=True), key=int.bit_count)))

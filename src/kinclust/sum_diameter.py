@@ -64,11 +64,21 @@ class GoodSequence:
     steps: tuple[tuple[Hole, frozenset], ...]
 
     def replay(self, S: TrajectorySet) -> Clustering:
-        """Re-run the splits from {S} on int masks; ValueError on an invalid step."""
+        """Re-run the splits from {S} on int masks; ValueError on an invalid step.
+
+        A step's hole must be one of ``compute_holes(S)``: a hole of another
+        instance, even of the same size, is refused.
+        """
         kernel = S.kernel
+        # No two faces share a mask, so the face with a step's mask is its only match.
+        faces = {h.mask: h for h in compute_holes(S)}
         current = {(1 << len(S)) - 1}
         for hole, cluster in self.steps:
             L, C = _hole_mask(S, hole, "replay"), kernel.mask(cluster)
+            if faces.get(L) != hole:
+                raise ValueError(
+                    f"hole with left side {sorted(hole.left_set)} is not a hole of this instance"
+                )
             if C not in current:
                 raise ValueError(f"split of {sorted(cluster)}: not a current cluster")
             if not _straddles(C, L):

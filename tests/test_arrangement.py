@@ -162,6 +162,12 @@ SWEEP_FAMILIES = {
     + [(7 + i, 7 - i) for i in (-1, 1)]
     + [(5, 0)],
     "integer-grid": [(a, b) for a in range(4) for b in range(4)],
+    # The sweep swaps two neighbours at a time with one two-line crossing
+    # and reverses blocks at any other: a pair sharing t=1/2 with a pencil,
+    # two pairs sharing t=1/2, and the first family with a lone pair at 2/3.
+    "pair-and-pencil-at-one-time": [(-1, 1), (0, 0), (1, -1), (4, 6), (6, 4)],
+    "two-pairs-at-one-time": [(0, 2), (2, 0), (5, 7), (7, 5)],
+    "pair-and-pencil-then-a-pair": [(-1, 1), (0, 0), (1, -1), (4, 6), (6, 4), (2, 3), (3, "5/2")],
     # Lines 0 and 1 cross at t=1/3; line 2 crosses line 1, and line 3
     # crosses line 0, at t=1/3 + 10^-20, whose float equals that of 1/3,
     # so only the exact times put the events in order.

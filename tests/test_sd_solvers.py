@@ -3,12 +3,14 @@
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from kinclust import (
     GoodSequence,
+    Hole,
     TrajectorySet,
     arrangement,
     build_poset,
@@ -136,6 +138,18 @@ class TestExactSolver:
         for h in compute_holes(make_instance(2102, 8)):
             with pytest.raises(ValueError, match="replay: a hole of 8 trajectories"):
                 GoodSequence(((h, S.all_indices()),)).replay(S)
+
+    def test_replay_rejects_a_certificate_of_another_instance_of_one_size(self):
+        S, T = make_instance(3, 8), make_instance(4, 8)
+        sequence = sd_exact_goodseq(S, 3).sequence
+        first = sequence.steps[0][0]
+        with pytest.raises(ValueError, match=re.escape(f"left side {sorted(first.left_set)} is not a hole")):
+            sequence.replay(T)
+        # A face of S with its time window moved is not a face of S either.
+        moved = Hole(first.mask, first.n, first.t_lo, (first.t_lo + first.t_hi) / 2)
+        with pytest.raises(ValueError, match="is not a hole of this instance"):
+            GoodSequence(((moved, S.all_indices()),)).replay(S)
+        assert sequence.replay(S) == sd_exact_goodseq(S, 3).clustering
 
     def test_deep_split_tree_needs_no_recursion(self):
         # 28 parallel lines at k=28 give a split tree 27 levels deep; the
