@@ -22,7 +22,8 @@ S = TrajectorySet.from_pairs([("0", "2"), ("2", "0"), ("0.2", "0.2")])
 holes = compute_holes(S)
 print(f"{len(holes)} holes:")
 for h in holes:
-    left, right = h.left_set, S.all_indices() - h.left_set
+    left = h.left_set
+    right = S.all_indices() - left
     print(f"  left={sorted(left)} right={sorted(right)} "
           f"t=({h.t_lo}, {h.t_hi}) {h.kind}")
 

@@ -9,13 +9,14 @@ stored this way instead of as polygons.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import groupby
 from math import gcd
 from operator import and_
-from typing import Iterable, Literal
+from typing import Iterable, Literal, NamedTuple
 
 from .geometry import TrajectorySet, _mask_members, _picked
 
@@ -27,13 +28,13 @@ _ONE = Fraction(1)
 # Most left-set members the hole table may hold, bounded as (n + 1 +
 # crossings) * n while the sweep counts the crossings in (0, 1); past the
 # cap ``compute_holes`` raises ValueError before it builds any hole.  Holes
-# keep int masks, so the members cost memory only once their left sets are
-# read, which only ``kinclust holes`` does: about 28 bytes of peak RSS per
-# unit of the bound on CPython 3.11.7.
+# keep int masks, so the members cost memory only while a caller keeps the
+# left sets it reads, which only ``kinclust holes`` reads: about 28 bytes
+# of peak RSS per unit of the bound on CPython 3.11.7.
 # Seed-1 instances: the bound is 0.27 million at n=128, 16.2 million at
-# n=512 (0.16-0.31 s and +15 MB for the holes alone, 1.3-1.9 s and +454
-# MB with every left set read) and 55 million at n=768, which the cap
-# refuses.
+# n=512 (0.12 s and +15 MB for the holes alone, 1.0-1.1 s and +452 MB
+# with every left set read and kept) and 55 million at n=768, which the
+# cap refuses.
 MAX_HOLE_MEMBERS = 20_000_000
 
 # Most comparable pairs P of side-sets that a poset's order may hold, one
@@ -49,15 +50,16 @@ MAX_HOLE_MEMBERS = 20_000_000
 MAX_CHAIN_PAIRS = 4_000_000
 
 
-@dataclass(frozen=True)
-class Hole:
+class Hole(NamedTuple):
     """One face of the arrangement, ``Hole(mask, n, t_lo, t_hi)``.
 
     ``mask`` flags the trajectories entirely to the face's left, member i
     of n carrying ``1 << (n - 1 - i)`` as in the kernel; (t_lo, t_hi) is
     the maximal open time interval on which the gap between them and the
     rest is positive.  ``left_set``, their frozenset of indices, is
-    decoded on first read, and ``kind`` follows the mask.
+    decoded from the mask on each read and kept nowhere, and ``kind``
+    follows the mask.  A hole is a named tuple: it equals, hashes and
+    orders like the plain tuple of its four fields, and has no ``__dict__``.
     """
 
     mask: int
@@ -65,7 +67,7 @@ class Hole:
     t_lo: Fraction
     t_hi: Fraction
 
-    @cached_property
+    @property
     def left_set(self) -> frozenset:
         return _mask_members(self.mask, self.n)
 
@@ -99,10 +101,13 @@ def compute_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     above a fixed prefix is a concave function of time, hence positive on
     a single interval, so no face ever re-opens and each is emitted
     exactly once with its full time extent.  Crossing times come from the
-    kernel's integer lines; prefixes are the kernel's int masks, and each
-    hole keeps its mask, so no frozenset is built until a left set is
-    read.  Raises ValueError, before building any hole, when the table's
-    left sets may hold more than MAX_HOLE_MEMBERS members.
+    kernel's integer lines, and only crossing pairs are visited: the
+    crossings inside (0, 1) are the inversions between the lines' orders
+    at t=0 and at t=1, so the X crossing pairs take O(n log n + X) Python
+    steps, not one per pair of lines.  Prefixes are the kernel's int
+    masks, and each hole keeps its mask, so no frozenset is built until a
+    left set is read.  Raises ValueError, before building any hole, when
+    the table's left sets may hold more than MAX_HOLE_MEMBERS members.
     """
     kernel = S.kernel
     if kernel.holes is None:
@@ -117,31 +122,38 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     kernel = S.kernel
     lines = kernel.lines
 
-    # Lines i before j in slope order cross at t = (a_i - a_j) / (v_j - v_i);
-    # group the crossings strictly inside (0, 1) by their reduced time.
-    # Each crossing pair opens at most one face, and a face's left set
-    # holds at most n members, which bounds the hole table's size.
+    # Visited by start, then end (the ``leftmost`` order), a line crosses
+    # inside (0, 1) exactly the earlier lines that end strictly to its
+    # right, past one bisection of their sorted ends.  A shared start never
+    # crosses inside the strip, and a shared end crosses only at t=1.
+    # Crossings are grouped by their reduced time (a_i - a_j) / (v_j - v_i),
+    # each with its lines.  Each crossing pair opens at most one face, and
+    # a face's left set holds at most n members, which bounds the hole
+    # table's size.
     most = MAX_HOLE_MEMBERS // n - n - 1
     pairs = 0
-    by_slope = sorted(range(n), key=lines.__getitem__)
+    ends: list[tuple[int, int]] = []  # (end, line) of the lines visited, by end
     crossing: dict[tuple[int, int], set[int]] = {}
-    for r, i in enumerate(by_slope):
-        v1, a1 = lines[i]
-        for j in by_slope[r + 1:]:
-            v2, a2 = lines[j]
-            da, dv = a1 - a2, v2 - v1
-            if 0 < da < dv:
-                pairs += 1
-                g = gcd(da, dv)
-                crossing.setdefault((da // g, dv // g), set()).update((i, j))
+    for i in kernel.leftmost:
+        v, a = lines[i]
+        e = a + v
+        k = bisect_right(ends, (e, n))
+        pairs += len(ends) - k
         if pairs > most:
             raise ValueError(
                 f"compute_holes: the hole table may hold more than "
                 f"MAX_HOLE_MEMBERS = {MAX_HOLE_MEMBERS} left-set members"
             )
+        for _, j in ends[k:]:
+            w, b = lines[j]
+            da, dv = a - b, w - v
+            g = gcd(da, dv)
+            crossing.setdefault((da // g, dv // g), set()).update((i, j))
+        ends.insert(k, (e, i))
     # Correctly rounded division is monotone, so the float decides the
-    # order and the exact time only breaks ties between equal floats.
-    events = sorted((p / q, Fraction(p, q), p, q) for p, q in crossing)
+    # order and the exact time only breaks ties between equal floats; no
+    # two keys share a time, so the member sets are never compared.
+    events = sorted([(p / q, Fraction(p, q), p, q, members) for (p, q), members in crossing.items()])
 
     # Left-to-right order just after t=0, by position at 0, then slope.
     order = list(kernel.leftmost)
@@ -151,19 +163,18 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     # Member i's flag in the kernel's masks; n * n <= MAX_HOLE_MEMBERS here.
     bit = [1 << (n - 1 - i) for i in range(n)]
 
-    # faces[slot] = [left mask, t_lo, t_hi]; open_slot[size] is the slot of
-    # the face whose left set is the current prefix of that size.  Faces
-    # open in (t_lo, size) order, so they need no sort.
+    # faces[slot] = [left mask, n, t_lo, t_hi], a Hole's fields; open_slot[size]
+    # is the slot of the face whose left set is the current prefix of that
+    # size.  Faces open in (t_lo, size) order, so they need no sort.
     prefix = 0
-    faces = [[0, _ZERO, None]]
+    faces = [[0, n, _ZERO, None]]
     for i in order:
         prefix |= bit[i]
-        faces.append([prefix, _ZERO, None])
+        faces.append([prefix, n, _ZERO, None])
     open_slot = list(range(n + 1))
     seen = {face[0] for face in faces}
 
-    for _, t, p, q in events:
-        members = crossing[p, q]
+    for _, t, p, q, members in events:
         if len(members) == 2:
             # The one crossing at t swaps two neighbours: only the prefix
             # of size lo + 1 changes, by the line now at lo.
@@ -173,13 +184,13 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
             lo = place[i]
             order[lo], order[lo + 1] = j, i
             place[i], place[j] = lo + 1, lo
-            faces[open_slot[lo + 1]][2] = t
+            faces[open_slot[lo + 1]][3] = t
             mask = faces[open_slot[lo]][0] | bit[j]
             if mask in seen:
                 raise AssertionError(f"face {list(_picked(range(n), mask))} re-opened at t={t}")
             seen.add(mask)
             open_slot[lo + 1] = len(faces)
-            faces.append([mask, t, None])
+            faces.append([mask, n, t, None])
             continue
         # Lines through one crossing point are adjacent in the order and
         # share their position at t, the integer a*q + v*p over den*q.
@@ -192,7 +203,7 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
                 place[order[k]] = k
             mask = faces[open_slot[lo]][0]
             for size in range(lo + 1, hi + 1):
-                faces[open_slot[size]][2] = t
+                faces[open_slot[size]][3] = t
                 mask |= bit[order[size - 1]]
                 if mask in seen:
                     # A prefix reappearing after a gap would contradict the
@@ -200,10 +211,10 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
                     raise AssertionError(f"face {list(_picked(range(n), mask))} re-opened at t={t}")
                 seen.add(mask)
                 open_slot[size] = len(faces)
-                faces.append([mask, t, None])
+                faces.append([mask, n, t, None])
     for slot in open_slot:
-        faces[slot][2] = _ONE
-    return tuple(Hole(mask, n, lo, hi) for mask, lo, hi in faces)
+        faces[slot][3] = _ONE
+    return tuple(map(Hole._make, faces))
 
 
 def _hole_mask(S: TrajectorySet, h: Hole, caller: str) -> int:

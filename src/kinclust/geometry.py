@@ -332,7 +332,9 @@ class SpanKernel:
     v = (x1 - x0) * den are integers over the common denominator ``den``
     of every coordinate; ``lines[i]`` is member i's (v, a) pair.
     ``leftmost`` lists the member indices in bottom-leftmost order, by
-    (x0, x1).
+    (x0, x1).  ``by_mid`` lists them by midpoint, (x0 + x1) * den = 2a + v,
+    ties by index, and ``mids`` holds those midpoints in that order, for
+    the scans that bound a pair's area below by its midpoint distance.
 
     One int-mask format serves the hole sweep, the side-set poset, the
     chain table and the span memo: a cluster is the mask in which member
@@ -352,7 +354,7 @@ class SpanKernel:
     ``_pair_terms``).  The kernel lives and dies with its instance.
     """
 
-    __slots__ = ("den", "lines", "leftmost", "spans", "holes", "chain_table")
+    __slots__ = ("den", "lines", "leftmost", "by_mid", "mids", "spans", "holes", "chain_table")
 
     def __init__(self, trajectories: tuple[Trajectory, ...]) -> None:
         den = math.lcm(*(x.denominator for s in trajectories for x in (s.x0, s.x1)))
@@ -363,6 +365,9 @@ class SpanKernel:
         self.den = den
         self.lines = tuple((x1 - x0, x0) for x0, x1 in ends)
         self.leftmost = tuple(sorted(range(len(ends)), key=ends.__getitem__))
+        mids = [x0 + x1 for x0, x1 in ends]
+        self.by_mid = tuple(sorted(range(len(ends)), key=mids.__getitem__))
+        self.mids = tuple(map(mids.__getitem__, self.by_mid))
         self.spans: dict[int, Fraction] = {}
         self.holes = None
         self.chain_table = None
@@ -403,24 +408,24 @@ class SpanKernel:
         A pair's area p / (2 den q) (see ``_pair_terms``) is at least the
         distance between its members' midpoints, |Δ(2a + v)| / (2 den),
         the absolute value of the mean of their difference.  So the members
-        are scanned by midpoint, the one-dimensional closest-pair sweep:
-        each inner scan stops at the first later member whose midpoint
-        distance reaches the best area so far.  Areas are compared as
-        integers by cross-multiplication; a single Fraction is built at
+        are scanned in ``by_mid`` order, the one-dimensional closest-pair
+        sweep: each inner scan stops at the first later member whose
+        midpoint distance reaches the best area so far.  Areas are compared
+        as integers by cross-multiplication; a single Fraction is built at
         the end.
         """
-        lines = self.lines
-        if len(lines) < 2:
+        mids = self.mids
+        if len(mids) < 2:
             raise ValueError("min_pair_area needs at least two members")
-        ordered = sorted((2 * a + v, v, a) for v, a in lines)
-        mids = [mid for mid, _, _ in ordered]
-        (_, v, a), (_, w, b) = ordered[:2]
+        ordered = tuple(map(self.lines.__getitem__, self.by_mid))
+        (v, a), (w, b) = ordered[:2]
         best_p, best_q = _pair_terms(a - b, a - b + v - w)
-        for i, (mid, v, a) in enumerate(ordered):
+        for i, (v, a) in enumerate(ordered):
+            mid = mids[i]
             for j in range(i + 1, len(ordered)):
                 if (mids[j] - mid) * best_q >= best_p:
                     break
-                _, w, b = ordered[j]
+                w, b = ordered[j]
                 p, q = _pair_terms(a - b, a - b + v - w)
                 if p * best_q < best_p * q:
                     best_p, best_q = p, q

@@ -10,6 +10,7 @@ search over D.  ``kcenter_gonzalez`` instead reduces to metric k-center
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -67,21 +68,32 @@ def gp(S: TrajectorySet, D: ScalarLike) -> Clustering:
     pairwise diameters p / (2 den q) to the members still left (see
     ``_pair_terms``) are tested against D = Dn / Dd as
     p * Dd <= Dn * 2 den * q, with no Fraction per entry and no row kept.
+    A pair's area is at least its midpoint distance |Δ(2a + v)| / (2 den),
+    so only the members whose midpoint lies within (Dn * 2 den) // Dd of
+    the representative's, a window of the kernel's ``by_mid`` order, are
+    tested, or every member still left when fewer remain.  Lines that all
+    share one midpoint, a pencil through t = 1/2, still test every pair.
     """
     D = as_scalar(D)
     if D < 0:
         raise ValueError(f"threshold D must be nonnegative, got {D}")
     kernel = S.kernel
-    lines, Dd, bound = kernel.lines, D.denominator, D.numerator * 2 * kernel.den
+    lines, mids, by_mid = kernel.lines, kernel.mids, kernel.by_mid
+    Dd, bound = D.denominator, D.numerator * 2 * kernel.den
+    reach = bound // Dd
     rest = set(range(len(S)))
     clusters = []
     for s in kernel.leftmost:
         if s in rest:
             v, a = lines[s]
+            mid = 2 * a + v
+            lo = bisect_left(mids, mid - reach)
+            hi = bisect_right(mids, mid + reach, lo)
+            window = rest if hi - lo >= len(rest) else rest.intersection(by_mid[lo:hi])
             members = []
             # _pair_terms written out: a call per entry made bsearch up to 40%
             # slower at n = 32-64, a row built and then compared 20-30%.
-            for j in rest:
+            for j in window:
                 w, b = lines[j]
                 d0 = a - b
                 d1 = d0 + v - w
@@ -134,15 +146,16 @@ def bsearch(S: TrajectorySet, k: int, eps: ScalarLike = Fraction(1, 20)) -> Solu
             f"bsearch: {rounds} halvings to reach delta = eps * (least pair diameter) "
             f"/ GP_FACTOR is more than MAX_BSEARCH_ROUNDS = {MAX_BSEARCH_ROUNDS}"
         )
+    # The clusters of the last round that set b, which are gp(S, b).
     clusters: Clustering | None = None
     for _ in range(rounds):
         D = (a + b) / 2
-        clusters = gp(S, D)
-        if len(clusters) > k:
+        found = gp(S, D)
+        if len(found) > k:
             a = D
         else:
-            b = D
-    if clusters is None or len(clusters) > k:
+            b, clusters = D, found
+    if clusters is None:
         clusters = gp(S, b)
     clustering = normalize_clustering(clusters)
     return Solution(

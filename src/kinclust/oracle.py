@@ -154,7 +154,8 @@ def brute_opt_wellsep(S: TrajectorySet, k: int, objective: Objective) -> Solutio
 
 def separates(S: TrajectorySet, h: Hole, C1, C2) -> bool:
     """True when the hole has C1 and C2 entirely on opposite sides."""
-    a, b, left, right = frozenset(C1), frozenset(C2), h.left_set, S.all_indices() - h.left_set
+    a, b, left = frozenset(C1), frozenset(C2), h.left_set
+    right = S.all_indices() - left
     return (a <= left and b <= right) or (b <= left and a <= right)
 
 
@@ -167,9 +168,11 @@ def well_separated_by_pairs(S: TrajectorySet, clustering) -> bool:
     which compares int masks instead.
     """
     clusters = [C for C in map(frozenset, clustering) if C]
-    uncovered = [
-        h for h in compute_holes(S) if all(C <= h.left_set or not C & h.left_set for C in clusters)
-    ]
+    uncovered = []
+    for h in compute_holes(S):
+        left = h.left_set
+        if all(C <= left or not C & left for C in clusters):
+            uncovered.append(h)
     return all(any(separates(S, h, a, b) for h in uncovered) for a, b in combinations(clusters, 2))
 
 
@@ -348,7 +351,8 @@ def poset_by_inclusion(S: TrajectorySet, holes) -> SeparatorPoset:
     """
     n = len(S)
     full = S.all_indices()
-    sets = {frozenset(), full} | {h.left_set for h in holes} | {full - h.left_set for h in holes}
+    lefts = [h.left_set for h in holes]
+    sets = {frozenset(), full, *lefts} | {full - left for left in lefts}
     elements = tuple(sorted(sets, key=lambda c: (len(c), tuple(sorted(c)))))
     poset = SeparatorPoset(tuple(sum(1 << (n - 1 - i) for i in c) for c in elements))
     # Fill the cached property, which ``succ`` would otherwise build.
@@ -426,7 +430,7 @@ def goodseq_by_frontier(S: TrajectorySet, k: int) -> Solution:
     check_k(k, len(S))
 
     holes = compute_holes(S)
-    splitters = [h for h in holes if h.kind == "bounded"]
+    splitters = [(h, h.left_set) for h in holes if h.kind == "bounded"]
 
     start = (S.all_indices(),)
     frontier: dict[Clustering, tuple[tuple[Hole, frozenset], ...]] = {start: ()}
@@ -437,8 +441,8 @@ def goodseq_by_frontier(S: TrajectorySet, k: int) -> Solution:
                 if len(C) < 2:
                     continue
                 rest = tuple(D for D in clustering if D != C)
-                for h in splitters:
-                    left = C & h.left_set
+                for h, side in splitters:
+                    left = C & side
                     if not left or left == C:
                         continue
                     child = normalize_clustering(rest + (left, C - left))

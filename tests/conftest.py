@@ -143,6 +143,26 @@ BSEARCH_WORST = (
 )
 
 
+@pytest.fixture
+def decoded(monkeypatch) -> list:
+    """The masks whose member sets ``arrangement`` decodes, one entry per decode.
+
+    Every ``Hole.left_set`` read decodes its hole's mask afresh, so a path
+    that reads no left set leaves the list empty.
+    """
+    from kinclust import arrangement
+
+    masks = []
+    decode = arrangement._mask_members
+
+    def counting(mask, n):
+        masks.append(mask)
+        return decode(mask, n)
+
+    monkeypatch.setattr(arrangement, "_mask_members", counting)
+    return masks
+
+
 @pytest.fixture(scope="session")
 def quartet() -> TrajectorySet:
     return TrajectorySet.from_pairs(INTERLEAVED_QUARTET)

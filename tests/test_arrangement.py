@@ -168,6 +168,10 @@ SWEEP_FAMILIES = {
     "pair-and-pencil-at-one-time": [(-1, 1), (0, 0), (1, -1), (4, 6), (6, 4)],
     "two-pairs-at-one-time": [(0, 2), (2, 0), (5, 7), (7, 5)],
     "pair-and-pencil-then-a-pair": [(-1, 1), (0, 0), (1, -1), (4, 6), (6, 4), (2, 3), (3, "5/2")],
+    # Three lines share the start 0 and three the end 2, pairs that cross
+    # only at t=0 or t=1, among crossings inside the strip; the sweep finds
+    # crossings as the earlier starts with strictly later ends.
+    "shared-starts-and-ends": [(0, 0), (0, 2), (0, 4), (1, 2), (3, 2), (2, 0), (4, 1), (1, 5), (3, 3)],
     # Lines 0 and 1 cross at t=1/3; line 2 crosses line 1, and line 3
     # crosses line 0, at t=1/3 + 10^-20, whose float equals that of 1/3,
     # so only the exact times put the events in order.
@@ -242,21 +246,23 @@ class TestSweepMatchesReferees:
 
 
 class TestHoleFormat:
-    """A hole keeps its kernel mask; its left set is decoded on first read."""
+    """A hole keeps its kernel mask; its left set is decoded on each read."""
 
     @pytest.mark.parametrize(
         "solve",
         [lambda S: None, lambda S: sd_wellsep_dp(S, 3), lambda S: sd_exact_goodseq(S, 3)],
         ids=["compute_holes", "sd_wellsep_dp", "sd_exact_goodseq"],
     )
-    def test_no_left_set_is_decoded_unread(self, solve):
+    def test_no_left_set_is_decoded_unread(self, solve, decoded):
         for seed in range(3):
             S = make_instance(19000 + seed, 9)
             solve(S)
             holes = compute_holes(S)
-            assert not any("left_set" in vars(h) for h in holes)
+            assert decoded == []
             left = holes[1].left_set
-            assert vars(holes[1])["left_set"] is left and holes[1].left_set is left
+            assert decoded == [holes[1].mask] and left == S.kernel.members(holes[1].mask)
+            assert holes[1].left_set == left and decoded == [holes[1].mask] * 2
+            decoded.clear()
 
     @pytest.mark.parametrize("n", [5, 7])
     def test_build_poset_rejects_holes_of_another_size(self, n):
@@ -264,9 +270,8 @@ class TestHoleFormat:
         with pytest.raises(ValueError, match="build_poset"):
             build_poset(S, compute_holes(make_instance(19101, n)))
 
-    def test_predicates_decode_no_left_set(self, three_lines, quartet):
-        # The predicates compare masks; a fresh instance of each fixture
-        # keeps out the left sets that other tests read.
+    def test_predicates_decode_no_left_set(self, three_lines, quartet, decoded):
+        # The predicates compare masks.
         for S in (TrajectorySet(three_lines.trajectories), TrajectorySet(quartet.trajectories),
                   make_instance(19002, 9)):
             holes = compute_holes(S)
@@ -276,13 +281,13 @@ class TestHoleFormat:
             for h in holes:
                 is_covered(S, h, sol.clustering)
                 hole_within_span(S, h, S.all_indices())
-            assert not any("left_set" in vars(h) for h in holes)
+            assert decoded == []
 
-    def test_well_separated_at_n_512_decodes_no_left_set(self):
+    def test_well_separated_at_n_512_decodes_no_left_set(self, decoded):
         S = make_instance(1, 512)
         blocks = [S.kernel.leftmost[i:i + 128] for i in range(0, 512, 128)]
         assert is_well_separated(S, blocks)
-        assert not any("left_set" in vars(h) for h in compute_holes(S))
+        assert decoded == []
 
 
 def hole_bound(S):

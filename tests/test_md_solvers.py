@@ -48,14 +48,27 @@ def min_pairwise(S):
     return min(pair_areas(S))
 
 
-def gp_by_definition(S, D):
-    """gp straight from its definition, one pairwise_diameter per test."""
+def pair_area_table(S):
+    """table[i][j], the pairwise_diameter of members i and j."""
+    n = len(S)
+    table = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        table[i][j] = table[j][i] = pairwise_diameter(S[i], S[j])
+    return table
+
+
+def gp_by_definition(S, D, table=None):
+    """gp straight from its definition, one pairwise_diameter per test.
+
+    The areas are read from ``table`` (see ``pair_area_table``) when given.
+    """
     order = sorted(range(len(S)), key=lambda i: S[i])
+    area = (lambda s, j: pairwise_diameter(S[s], S[j])) if table is None else (lambda s, j: table[s][j])
     taken = set()
     clusters = []
     for s in order:
         if s not in taken:
-            members = {j for j in order if j not in taken and pairwise_diameter(S[s], S[j]) <= D}
+            members = {j for j in order if j not in taken and area(s, j) <= D}
             taken |= members
             clusters.append(frozenset(members))
     return tuple(clusters)
@@ -130,6 +143,35 @@ class TestGp:
                 assert gp(S, threshold) == gp_by_definition(S, threshold)
         assert gp(S, 0) == gp_by_definition(S, 0)
 
+    @pytest.mark.parametrize("n, grid", [(200, 10), (200, 100), (400, 10), (400, 100)])
+    def test_matches_definition_in_midpoint_windows(self, n, grid):
+        # A pair's area is at least its midpoint distance, and equals it when
+        # the pair does not cross inside the strip: at such an area the pair
+        # sits on the edge of the first representative's midpoint window,
+        # where <= decides, and a hair below it falls out.
+        S = make_instance(19600 + n, n, grid)
+        table = pair_area_table(S)
+        s = S.kernel.leftmost[0]
+        x0, x1 = S[s].x0, S[s].x1
+        level = sorted({table[s][j] for j in range(n) if (x0 - S[j].x0) * (x1 - S[j].x1) > 0})
+        hair = Fraction(1, 10**30)
+        for D in (S.kernel.min_pair_area(), *level[:3], level[len(level) // 2]):
+            # The window is shorter than the n members left.
+            assert sum(abs(S[j].midpoint() - S[s].midpoint()) <= D for j in range(n)) < n
+            for threshold in (D, D - hair):
+                assert gp(S, threshold) == gp_by_definition(S, threshold, table)
+        assert gp(S, 0) == gp_by_definition(S, 0, table)
+
+    def test_matches_definition_on_a_long_pencil(self):
+        # Every midpoint coincides, so every window holds every member.
+        S = TrajectorySet.from_pairs([(i, -i) for i in range(-150, 150)])
+        table = pair_area_table(S)
+        # Pair areas are the multiples of 1/2 up to 299/2.
+        for D in (Fraction(1, 2), Fraction(3, 2), 10, 149):
+            for threshold in (D, D - Fraction(1, 10**30)):
+                assert gp(S, threshold) == gp_by_definition(S, threshold, table)
+        assert gp(S, 0) == gp_by_definition(S, 0, table)
+
     def test_verticals_merge_at_unit_threshold(self, two_verticals):
         assert gp(two_verticals, 1) == (frozenset({0, 1}),)
 
@@ -185,6 +227,21 @@ class TestGp:
 
 
 class TestBsearch:
+    def test_one_gp_call_per_round(self, monkeypatch):
+        # The clusters of the last round that set b are gp(S, b): gp runs
+        # once more after the rounds only when no round set b.
+        calls = []
+        real = max_diameter.gp
+        monkeypatch.setattr(max_diameter, "gp", lambda S, D: calls.append(D) or real(S, D))
+        for seed in range(10):
+            S = make_instance(5400 + seed, 12)
+            for k in (1, 2, 3):
+                calls.clear()
+                sol = bsearch(S, k)
+                b = sol.interval[1]
+                assert sol.clustering == normalize_clustering(real(S, b))
+                assert len(calls) == sol.iterations + (b not in calls[:sol.iterations])
+
     def test_k_equals_n_gives_singletons(self):
         S = make_instance(81, 5)
         sol = bsearch(S, 5)

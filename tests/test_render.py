@@ -83,12 +83,12 @@ class TestRenderSvg:
         svg = render_svg(S, overlay=overlay, **kw)
         assert hashlib.sha256(svg).hexdigest() == GOLDEN_SVG[name, overlay]
 
-    def test_holes_overlay_decodes_no_left_set(self):
+    def test_holes_overlay_decodes_no_left_set(self, decoded):
         S = generate_instance(GeneratorConfig(seed=7, n=10))
         render_svg(S, overlay="holes")
         holes = compute_holes(S)
         assert sum(h.kind == "bounded" for h in holes) > 0
-        assert not any("left_set" in vars(h) for h in holes)
+        assert decoded == []
 
     @pytest.mark.parametrize(
         "pairs",
