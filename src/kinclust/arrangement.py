@@ -100,14 +100,16 @@ def compute_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     prefix plus the line now at lo, with no sort or grouping.  The gap
     above a fixed prefix is a concave function of time, hence positive on
     a single interval, so no face ever re-opens and each is emitted
-    exactly once with its full time extent.  Crossing times come from the
-    kernel's integer lines, and only crossing pairs are visited: the
-    crossings inside (0, 1) are the inversions between the lines' orders
-    at t=0 and at t=1, so the X crossing pairs take O(n log n + X) Python
-    steps, not one per pair of lines.  Prefixes are the kernel's int
-    masks, and each hole keeps its mask, so no frozenset is built until a
-    left set is read.  Raises ValueError, before building any hole, when
-    the table's left sets may hold more than MAX_HOLE_MEMBERS members.
+    exactly once with its full time extent; the sweep keeps only the open
+    faces, and ``oracle.holes_slab``, the referee the tests compare it
+    with, checks that claim.  Crossing times come from the kernel's
+    integer lines, and only crossing pairs are visited: the crossings
+    inside (0, 1) are the inversions between the lines' orders at t=0 and
+    at t=1, so the X crossing pairs take O(n log n + X) Python steps, not
+    one per pair of lines.  Prefixes are the kernel's int masks, and each
+    hole keeps its mask, so no frozenset is built until a left set is
+    read.  Raises ValueError, before building any hole, when the table's
+    left sets may hold more than MAX_HOLE_MEMBERS members.
     """
     kernel = S.kernel
     if kernel.holes is None:
@@ -163,16 +165,15 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     # Member i's flag in the kernel's masks; n * n <= MAX_HOLE_MEMBERS here.
     bit = [1 << (n - 1 - i) for i in range(n)]
 
-    # faces[slot] = [left mask, n, t_lo, t_hi], a Hole's fields; open_slot[size]
-    # is the slot of the face whose left set is the current prefix of that
-    # size.  Faces open in (t_lo, size) order, so they need no sort.
+    # faces holds [left mask, n, t_lo, t_hi] lists, a Hole's fields;
+    # opened[size] is the open face whose left set is the current prefix of
+    # that size.  Faces open in (t_lo, size) order, so they need no sort.
     prefix = 0
     faces = [[0, n, _ZERO, None]]
     for i in order:
         prefix |= bit[i]
         faces.append([prefix, n, _ZERO, None])
-    open_slot = list(range(n + 1))
-    seen = {face[0] for face in faces}
+    opened = faces[:]
 
     for _, t, p, q, members in events:
         if len(members) == 2:
@@ -184,13 +185,9 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
             lo = place[i]
             order[lo], order[lo + 1] = j, i
             place[i], place[j] = lo + 1, lo
-            faces[open_slot[lo + 1]][3] = t
-            mask = faces[open_slot[lo]][0] | bit[j]
-            if mask in seen:
-                raise AssertionError(f"face {list(_picked(range(n), mask))} re-opened at t={t}")
-            seen.add(mask)
-            open_slot[lo + 1] = len(faces)
-            faces.append([mask, n, t, None])
+            opened[lo + 1][3] = t
+            opened[lo + 1] = face = [opened[lo][0] | bit[j], n, t, None]
+            faces.append(face)
             continue
         # Lines through one crossing point are adjacent in the order and
         # share their position at t, the integer a*q + v*p over den*q.
@@ -201,19 +198,14 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
             order[lo:hi + 1] = reversed(order[lo:hi + 1])
             for k in range(lo, hi + 1):
                 place[order[k]] = k
-            mask = faces[open_slot[lo]][0]
+            mask = opened[lo][0]
             for size in range(lo + 1, hi + 1):
-                faces[open_slot[size]][3] = t
+                opened[size][3] = t
                 mask |= bit[order[size - 1]]
-                if mask in seen:
-                    # A prefix reappearing after a gap would contradict the
-                    # concavity of its gap function.
-                    raise AssertionError(f"face {list(_picked(range(n), mask))} re-opened at t={t}")
-                seen.add(mask)
-                open_slot[size] = len(faces)
-                faces.append([mask, n, t, None])
-    for slot in open_slot:
-        faces[slot][3] = _ONE
+                opened[size] = face = [mask, n, t, None]
+                faces.append(face)
+    for face in opened:
+        face[3] = _ONE
     return tuple(map(Hole._make, faces))
 
 

@@ -33,38 +33,53 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # Largest decimal exponent magnitude, and most numerator or denominator digits,
-# of a scalar literal: Fraction("1e999999999") would build 10**999999999, and
-# CPython writes no int of more digits as text by default.
+# of a scalar: Fraction("1e999999999") would build 10**999999999, and CPython
+# writes no int of more digits as text by default.
 MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 _DIGITS_BOUND = 10**MAX_EXPONENT
+# The one scalar grammar, in ASCII on every Python version: a signed decimal
+# with an optional exponent (group 1), or a signed ratio of digit strings.
+_SCALAR = re.compile(
+    r"\s*[-+]?(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?(\d+))?)\s*", re.ASCII
+)
 
 
 def _parse_scalar(text: str) -> Fraction:
-    match = _EXPONENT.search(text)
-    if match is not None:
-        digits = match[1].replace("_", "").lstrip("0")
+    match = _SCALAR.fullmatch(text)
+    if match is None:
+        raise ValueError(f"invalid scalar literal {text!r}")
+    if match[1] is not None:
+        digits = match[1].lstrip("0")
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
             raise ValueError(f"decimal exponent beyond +-{MAX_EXPONENT} in scalar literal")
     try:
-        value = Fraction(text)
+        return _printable(Fraction(text))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in scalar literal {text!r}") from None
-    if max(abs(value.numerator), value.denominator) >= _DIGITS_BOUND:
-        raise ValueError(f"more than {MAX_EXPONENT} digits in scalar literal")
+
+
+def _printable(value: Fraction) -> Fraction:
+    """value, unless its numerator or denominator has more than MAX_EXPONENT digits."""
+    if abs(value.numerator) >= _DIGITS_BOUND or value.denominator >= _DIGITS_BOUND:
+        raise ValueError(f"more than {MAX_EXPONENT} digits in a scalar's numerator or denominator")
     return value
 
 
 def as_scalar(value: ScalarLike) -> Fraction:
     """Coerce an int, str, or Fraction to an exact Fraction.
 
-    Strings may be decimal literals ("0.25", "-1.5e-2") or ratios ("3/4");
-    both parse exactly.  A decimal exponent beyond MAX_EXPONENT in
-    magnitude raises ValueError instead of building a huge power of ten,
-    and so do a value that could not be written back, whose numerator or
-    denominator has more digits ("1e4300"), and a zero denominator ("1/0").
-    Floats are rejected on purpose: converting one would bake binary
-    rounding error into an otherwise exact pipeline.
+    Strings follow one ASCII grammar on every Python version, a signed
+    decimal ("0.25", "-1.5e-2", ".5", "3.") or a signed ratio of digit
+    strings ("3/4") with surrounding whitespace allowed, and parse exactly;
+    underscores and non-ASCII digits are rejected.  A decimal exponent
+    beyond MAX_EXPONENT in magnitude raises ValueError instead of building
+    a huge power of ten, and so do a zero denominator ("1/0") and a
+    literal whose numerator or denominator has more digits ("1e4300").
+    Ints and Fractions are not bounded: ``gp`` takes the thresholds that
+    ``bsearch`` computes, longer than any coordinate, and ``Trajectory``
+    bounds its coordinates of every type.  Floats are rejected on purpose:
+    converting one would bake binary rounding error into an otherwise
+    exact pipeline.
     """
     if isinstance(value, Fraction):
         return value
@@ -80,15 +95,17 @@ class Trajectory:
     """One moving point: its positions at t=0 and t=1; velocity is derived.
 
     Ordering compares (x0, x1) lexicographically, which is exactly the
-    bottom-leftmost order used by the solvers.
+    bottom-leftmost order used by the solvers.  A coordinate of any type
+    whose numerator or denominator has more than MAX_EXPONENT digits
+    raises ValueError, so every trajectory can be written back as text.
     """
 
     x0: Fraction
     x1: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x0", as_scalar(self.x0))
-        object.__setattr__(self, "x1", as_scalar(self.x1))
+        object.__setattr__(self, "x0", _printable(as_scalar(self.x0)))
+        object.__setattr__(self, "x1", _printable(as_scalar(self.x1)))
 
     @property
     def velocity(self) -> Fraction:

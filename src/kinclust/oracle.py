@@ -154,8 +154,11 @@ def brute_opt_wellsep(S: TrajectorySet, k: int, objective: Objective) -> Solutio
 
 def separates(S: TrajectorySet, h: Hole, C1, C2) -> bool:
     """True when the hole has C1 and C2 entirely on opposite sides."""
-    a, b, left = frozenset(C1), frozenset(C2), h.left_set
-    right = S.all_indices() - left
+    left = h.left_set
+    return _apart(frozenset(C1), frozenset(C2), left, S.all_indices() - left)
+
+
+def _apart(a: frozenset, b: frozenset, left: frozenset, right: frozenset) -> bool:
     return (a <= left and b <= right) or (b <= left and a <= right)
 
 
@@ -164,16 +167,21 @@ def well_separated_by_pairs(S: TrajectorySet, clustering) -> bool:
 
     A hole is uncovered when every cluster lies inside its left set or
     outside it, and each pair of nonempty clusters needs an uncovered
-    hole that ``separates`` them.  A referee for ``is_well_separated``,
-    which compares int masks instead.
+    hole that ``separates`` them; each uncovered hole's two sides are
+    decoded once and tested against every pair.  A referee for
+    ``is_well_separated``, which compares int masks instead.
     """
     clusters = [C for C in map(frozenset, clustering) if C]
-    uncovered = []
+    full = S.all_indices()
+    sides = []
     for h in compute_holes(S):
         left = h.left_set
         if all(C <= left or not C & left for C in clusters):
-            uncovered.append(h)
-    return all(any(separates(S, h, a, b) for h in uncovered) for a, b in combinations(clusters, 2))
+            sides.append((left, full - left))
+    return all(
+        any(_apart(a, b, left, right) for left, right in sides)
+        for a, b in combinations(clusters, 2)
+    )
 
 
 def numeric_diameter(S: TrajectorySet, C, steps: int) -> Fraction:

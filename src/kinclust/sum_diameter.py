@@ -190,11 +190,13 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
         if have >= r:
             continue
         if splits is None:
-            # The distinct splits {A, C - A}, by their smaller side, with the
-            # sides' value lists, which their own entries extend in place;
-            # each side needs f for up to min(its size, r - 1) clusters.
+            # The distinct splits {A, C - A}, by their smaller side, as (A,
+            # f(A, .), f(C - A, .)); the value lists are the sides' own, which
+            # their entries, stacked above this one, extend in place.  Each
+            # side needs f for up to min(its size, r - 1) clusters.
             charge(len(masks))
-            splits, seen, needs = [], set(), []
+            splits, seen = [], set()
+            todo.append((C, r, splits))
             for L in masks:
                 a = C & L
                 if not a or a == C:
@@ -205,13 +207,11 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
                 seen.add(a if a < b else b)
                 va = values.get(a) or leaf(a)
                 vb = values.get(b) or leaf(b)
-                splits.append((a, b, va, vb))
+                splits.append((a, va, vb))
                 if len(va) < r - 1 and len(va) < a.bit_count():
-                    needs.append((a, min(a.bit_count(), r - 1), None))
+                    todo.append((a, min(a.bit_count(), r - 1), None))
                 if len(vb) < r - 1 and len(vb) < b.bit_count():
-                    needs.append((b, min(b.bit_count(), r - 1), None))
-            todo.append((C, r, splits))
-            todo += needs
+                    todo.append((b, min(b.bit_count(), r - 1), None))
             continue
         # The (j, j1) pairs to try on a split whose sides both have f up to
         # r - 1; a smaller side drops the pairs giving it too many clusters.
@@ -219,7 +219,7 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
         charge(len(splits) * len(pairs))
         # best[j] = [num, den, A, j1, key or None] of the least (value, key) so far.
         best: list = [None] * (r + 1)
-        for a, b, va, vb in splits:
+        for a, va, vb in splits:
             la, lb = len(va), len(vb)
             for j, j1 in pairs if la >= r - 1 and lb >= r - 1 else [
                 (j, j1) for j, j1 in pairs if j1 <= la and j - j1 <= lb
@@ -293,8 +293,8 @@ class ChainTable:
     line cannot change that.  A block with no such parent, or whose
     parents were all read from the memo and so have no chains, starts
     from all of its lines (``SpanKernel.chains``, as in ``span_area``).
-    The chains are transient: while row e is filled, only those of the
-    supersets of the current size and of one member fewer are kept.
+    The chains are transient: those of row e's blocks, at most one pair
+    per superset, are kept while the row is filled and dropped with it.
     Building a table raises ValueError, before computing any area, when
     the poset's order refuses to build past MAX_CHAIN_PAIRS comparable
     pairs (see ``SeparatorPoset``).
@@ -329,17 +329,14 @@ class ChainTable:
         get = spans.get
         nums, dens = [], []
         for e, (C, sups) in enumerate(zip(masks, succ)):
-            # The clipped chains of e's blocks by superset: ``chains`` for the
-            # supersets of the current size, ``smaller`` for those one member
-            # smaller, the only possible parents.  Every superset from here on
-            # comes after e, so below[e] is read no more.
-            size, smaller, chains = sizes[e], {}, {}
+            # The clipped chains of e's blocks by superset, kept for the row;
+            # below[s] names only elements one member smaller than s, so a
+            # lookup in them finds exactly s's possible parents.  Every
+            # superset from here on comes after e, so below[e] is read no more.
+            chains = {}
             below[e] = None
             areas = []
             for s in sups:
-                if sizes[s] != size:
-                    smaller = chains if sizes[s] == size + 1 else {}
-                    size, chains = sizes[s], {}
                 D = masks[s] ^ C
                 if not D & (D - 1):
                     # One member: one-line chains and, as in span_area, area 0.
@@ -350,7 +347,7 @@ class ChainTable:
                 area = get(D)
                 if area is None:
                     for p, i in below[s]:
-                        parent = smaller.get(p)
+                        parent = chains.get(p)
                         if parent is not None:
                             upper = _upper_chain(sorted((*parent[0], lines[i])))
                             lower = _upper_chain(sorted((*parent[1], mirrors[i])))

@@ -598,11 +598,18 @@ class TestGen:
         assert len(parse_instance(out1.read_bytes())) == 6
 
     def test_zero_denominator_range_rejected(self, tmp_path, capsys):
+        # ... and a range with no grid point, and points past 4300 digits.
         out = tmp_path / "z.json"
-        argv = ["gen", "-n", "4", "--seed", "1", "--x0-range", "0", "1/0", "-o", str(out)]
-        assert main(argv) == 1
-        assert_one_error_line(capsys.readouterr().err, "zero denominator")
-        assert not out.exists()
+        for argv, fragment in [
+            (["-n", "4", "--x0-range", "0", "1/0"], "zero denominator"),
+            (["-n", "3", "--x0-range", "0.01", "0.02"], "ranges contain no grid point"),
+            (["-n", "3", "--x0-range", "0", "1e4299", "--grid", "1000"], "more than 4300 digits"),
+        ]:
+            assert main(["gen", *argv, "--seed", "1", "-o", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert_one_error_line(captured.err, fragment)
+            assert not out.exists()
 
     def test_custom_ranges(self, tmp_path):
         out = tmp_path / "c.json"

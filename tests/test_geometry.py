@@ -123,9 +123,20 @@ class TestAsScalar:
         with pytest.raises(ValueError, match="more than 4300 digits"):
             as_scalar(raw)
 
+    @pytest.mark.parametrize("raw", ["1_000", "1e1_0", "\u0663", "1e00004_301", "1/ 2"])
+    def test_outside_the_ascii_grammar_rejected(self, raw):
+        # Rejected on every Python version, whatever its Fraction accepts.
+        with pytest.raises(ValueError, match="invalid scalar literal"):
+            as_scalar(raw)
+
     def test_ratios_and_plain_decimals_unaffected(self):
         assert as_scalar("3/4") == Fraction(3, 4)
         assert as_scalar("0.25") == Fraction(1, 4)
+        # The rest of the grammar: signs, bare points, whitespace around.
+        assert as_scalar(" -3/6\n") == Fraction(-1, 2)
+        assert as_scalar("+.5") == Fraction(1, 2)
+        assert as_scalar("3.") == 3
+        assert as_scalar("1.E+2") == 100
 
     @pytest.mark.parametrize("raw", ["1/0", "-3/0", "0/0"])
     def test_zero_denominator_is_a_value_error(self, raw):
@@ -134,6 +145,23 @@ class TestAsScalar:
 
 
 class TestTrajectorySet:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            pytest.param(10**4300, id="int"),
+            pytest.param(-(10**4300), id="negative-int"),
+            pytest.param(Fraction(1, 10**4300), id="fraction-denominator"),
+            pytest.param(Fraction(10**4300 + 1, 3), id="fraction-numerator"),
+            pytest.param("1e4300", id="str"),
+        ],
+    )
+    def test_coordinates_past_4300_digits_rejected(self, value):
+        # Whatever its type, such a coordinate could not be written back.
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            TrajectorySet.from_pairs([(0, 1), (value, 0)])
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            T(0, value)
+
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             TrajectorySet.from_pairs([("0", "1"), ("0", "1")])

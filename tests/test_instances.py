@@ -46,6 +46,12 @@ class TestParse:
             ('{"trajectories":[{"x0":"0","x1":1.5}]}', "trajectories[0].x1"),
             ('{"trajectories":[{"x0":"0","x1":"abc"}]}', "trajectories[0].x1"),
             ('{"trajectories":[{"x0":"0","x1":"1/0"}]}', "trajectories[0].x1"),
+            ('{"trajectories":[1]}', "trajectories[0]: expected an object"),
+            # One ASCII grammar on every Python version: no underscores, no
+            # non-ASCII digits, whatever Fraction accepts.
+            ('{"trajectories":[{"x0":"1_000","x1":"2"}]}', "trajectories[0].x0: cannot parse"),
+            ('{"trajectories":[{"x0":"1e1_0","x1":"2"}]}', "trajectories[0].x0: cannot parse"),
+            ('{"trajectories":[{"x0":"\u0663","x1":"0"}]}', "trajectories[0].x0: cannot parse"),
             ('{"name": 3, "trajectories":[{"x0":"0","x1":"1"}]}', "name"),
             # json raises RecursionError here, not JSONDecodeError.
             pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="deep-nesting"),
@@ -137,6 +143,18 @@ class TestGenerator:
                 GeneratorConfig(seed=1, n=5, x0_range=(0, 0), slope_range=(0, 1), grid=1)
             )
 
+    def test_range_without_grid_point(self):
+        with pytest.raises(InstanceError, match="ranges contain no grid point"):
+            generate_instance(GeneratorConfig(seed=1, n=3, x0_range=("0.01", "0.02")))
+
+    def test_points_past_4300_digits_rejected(self):
+        # Grid points of 1e4299 / 1000 have numerators of 4303 digits.
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            generate_instance(GeneratorConfig(seed=1, n=3, x0_range=(0, "1e4299"), grid=1000))
+        # On grid 10 every point fits, and the instance can be written back.
+        S = generate_instance(GeneratorConfig(seed=1, n=3, x0_range=(0, "1e4299"), grid=10))
+        assert parse_instance(dumps_instance(S)) == S
+
     @pytest.mark.parametrize("field,value", [("n", 2.5), ("n", True), ("grid", 2.5), ("n", "3")])
     def test_sizes_must_be_ints(self, field, value):
         with pytest.raises(InstanceError, match=f"{field} must be an int of at least 1"):
@@ -159,4 +177,10 @@ class TestRoundTrip:
         from kinclust import TrajectorySet
 
         S = TrajectorySet.from_pairs([("1/3", "-2/7"), ("0.125", "5")])
+        assert parse_instance(dumps_instance(S)) == S
+
+    def test_int_and_fraction_coordinates_at_the_bound_round_trip(self):
+        from kinclust import TrajectorySet
+
+        S = TrajectorySet.from_pairs([(10**4300 - 1, Fraction(-1, 10**4300 - 1)), (0, 1)])
         assert parse_instance(dumps_instance(S)) == S

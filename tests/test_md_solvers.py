@@ -411,6 +411,19 @@ class TestBsearchRoundGuard:
         with pytest.raises(ValueError, match="14286 halvings .* MAX_BSEARCH_ROUNDS"):
             bsearch(S, 2)
 
+    def test_thresholds_longer_than_any_coordinate(self):
+        # Each coordinate has about 700 digits, the thresholds bsearch hands
+        # to gp over 4300: gp bounds no Fraction it is given.
+        pairs = []
+        for i in range(8):
+            q = 10**700 + 2 * i + 1
+            pairs.append((i * 7 % 5 + Fraction(1, q), i % 3 - Fraction(2, q)))
+        S = TrajectorySet.from_pairs(pairs)
+        sol = bsearch(S, 3)
+        assert len(sol.clustering) <= 3
+        assert sol.interval[1].denominator >= 10**4300
+        assert normalize_clustering(gp(S, sol.interval[1])) == sol.clustering
+
 
 class TestKcenterWorkGuard:
     def test_raises_past_the_cap_before_any_pair_term(self, monkeypatch):
