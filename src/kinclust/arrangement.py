@@ -40,10 +40,10 @@ MAX_HOLE_MEMBERS = 20_000_000
 # Most comparable pairs P of side-sets that a poset's order may hold, one
 # block area each in the chain table; past the cap every reader of the
 # order raises ValueError (see SeparatorPoset).  A cold table costs about
-# 8 microseconds and 120 bytes of peak RSS per pair on CPython 3.11.7.
-# Seed-1 instances: P is 1.1 million at n=96 (8-10 s, +133 MB), 3.2
-# million at n=128 (25 s, +408 MB) and 14.7 million at n=192, which the
-# cap refuses.  The pairs are counted while the order's rows are built,
+# 3 microseconds and 120 bytes of peak RSS per pair on CPython 3.11.7 (2
+# CPUs, shared host).  Seed-1 instances: P is 1.1 million at n=96 (3.2 s,
+# +118 MB), 3.2 million at n=128 (11 s, +368 MB) and 14.7 million at
+# n=192, which the cap refuses.  The pairs are counted while the order's rows are built,
 # so a refusal builds only a prefix of the order: n=512 (P 655 million)
 # is refused in 0.4 s and +7 MB past the poset, and its well-separated DP
 # in 0.7 s and +82 MB, holes included.

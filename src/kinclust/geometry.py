@@ -32,30 +32,48 @@ Clustering = tuple
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# Largest decimal exponent magnitude, and most numerator or denominator digits,
-# of a scalar: Fraction("1e999999999") would build 10**999999999, and CPython
-# writes no int of more digits as text by default.
+# Largest decimal exponent magnitude, and most digits of one digit string of
+# a literal or of a scalar's numerator or denominator: "1e999999999" would
+# build 10**999999999, and CPython reads and writes no int of more digits as
+# text by default.
 MAX_EXPONENT = 4300
 _DIGITS_BOUND = 10**MAX_EXPONENT
-# The one scalar grammar, in ASCII on every Python version: a signed decimal
-# with an optional exponent (group 1), or a signed ratio of digit strings.
+# The one scalar grammar, in ASCII on every Python version: a signed ratio
+# of digit strings (groups 2 and 3), or a signed decimal (whole and fraction
+# digits, groups 4 and 5) with an optional exponent (group 6).
 _SCALAR = re.compile(
-    r"\s*[-+]?(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?(\d+))?)\s*", re.ASCII
+    r"\s*([-+]?)(?:(\d+)/(\d+)|(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?)\s*", re.ASCII
 )
+
+
+def _shown(text: str) -> str:
+    """repr of a literal for a message: its first 40 characters, then its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}… ({len(text)} characters)"
 
 
 def _parse_scalar(text: str) -> Fraction:
     match = _SCALAR.fullmatch(text)
     if match is None:
-        raise ValueError(f"invalid scalar literal {text!r}")
-    if match[1] is not None:
-        digits = match[1].lstrip("0")
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+        raise ValueError(f"invalid scalar literal {_shown(text)}")
+    sign, num, den, whole, frac, exp = match.groups()
+    # Each digit string is bounded before any int is built from it.
+    if len(text) > MAX_EXPONENT and max(map(len, filter(None, match.groups()))) > MAX_EXPONENT:
+        raise ValueError(f"more than {MAX_EXPONENT} digits in one digit string of a scalar literal")
+    if den is not None:
+        num, den = int(num), int(den)
+        if not den:
+            raise ValueError(f"zero denominator in scalar literal {_shown(text)}")
+    else:
+        shift = int(exp or "0")
+        if abs(shift) > MAX_EXPONENT:
             raise ValueError(f"decimal exponent beyond +-{MAX_EXPONENT} in scalar literal")
-    try:
-        return _printable(Fraction(text))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in scalar literal {text!r}") from None
+        num, den = int(whole or "0"), 10 ** len(frac or "")
+        num = num * den + int(frac or "0")
+        if shift >= 0:
+            num *= 10**shift
+        else:
+            den *= 10**-shift
+    return _printable(Fraction(-num if sign == "-" else num, den))
 
 
 def _printable(value: Fraction) -> Fraction:
@@ -71,10 +89,12 @@ def as_scalar(value: ScalarLike) -> Fraction:
     Strings follow one ASCII grammar on every Python version, a signed
     decimal ("0.25", "-1.5e-2", ".5", "3.") or a signed ratio of digit
     strings ("3/4") with surrounding whitespace allowed, and parse exactly;
-    underscores and non-ASCII digits are rejected.  A decimal exponent
-    beyond MAX_EXPONENT in magnitude raises ValueError instead of building
-    a huge power of ten, and so do a zero denominator ("1/0") and a
-    literal whose numerator or denominator has more digits ("1e4300").
+    underscores and non-ASCII digits are rejected.  The value is built
+    from the match's own digit strings, each of at most MAX_EXPONENT
+    digits, or ValueError.  A decimal exponent beyond MAX_EXPONENT in
+    magnitude raises ValueError instead of building a huge power of ten,
+    and so do a zero denominator ("1/0") and a literal whose numerator or
+    denominator has more digits ("1e4300").
     Ints and Fractions are not bounded: ``gp`` takes the thresholds that
     ``bsearch`` computes, longer than any coordinate, and ``Trajectory``
     bounds its coordinates of every type.  Floats are rejected on purpose:
@@ -304,28 +324,54 @@ def _mirrored(lines: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(-v, -a) for v, a in reversed(lines)]
 
 
-def _chains_area(upper: list, lower: list, den: int) -> Fraction:
-    """Span area of members from their two clipped chains, as a Fraction.
+def _beats(chain, line: tuple[int, int]) -> bool:
+    """Whether ``line`` is strictly above the clipped chain's max somewhere in (0, 1).
 
-    ``upper`` is ``_upper_chain`` of the members' lines and ``lower`` that
-    of their mirrored lines, the lines being over the denominator ``den``.
-    For a convex chain with breakpoints between lines (v1, a1) and
-    (v2, a2), integrating piece by piece and summing by parts gives F(1)
-    plus (a1 - a2)^2 / (2 (v2 - v1)) per breakpoint, where F is the
-    antiderivative a*t + v*t^2/2 of the line carrying t = 1.  The span
-    area is the integral of the upper chain plus that of the mirrored one.
+    The line minus the max is piecewise linear with its corners at the
+    breakpoints, so it is positive somewhere in (0, 1) exactly when it is
+    at t = 0, at a breakpoint or at t = 1.  When it is not, the clipped
+    chain of the chain's lines and ``line`` is the chain again.
     """
-    ends = 0  # 2 F(1) of both chains, in units of 1/den
-    num, d = 0, 1  # sum of (a1 - a2)^2 / (v2 - v1) over the breakpoints
-    for chain in (upper, lower):
-        v, a = chain[-1]
-        ends += 2 * a + v
-        for (v1, a1), (v2, a2) in zip(chain, chain[1:]):
-            dv, da = v2 - v1, a1 - a2
-            g = math.gcd(d, dv)
-            num = num * (dv // g) + da * da * (d // g)
-            d = d // g * dv
-    return Fraction(ends * d + num, 2 * den * d)
+    v, a = line
+    v1, a1 = chain[0]
+    if a > a1:
+        return True
+    for v2, a2 in chain[1:]:
+        dv, da = v2 - v1, a1 - a2  # the breakpoint is at t = da / dv
+        if (a - a1) * dv + (v - v1) * da > 0:
+            return True
+        v1, a1 = v2, a2
+    return v + a > v1 + a1
+
+
+def _chain_term(chain) -> tuple[int, int]:
+    """(num, d) with num / d = 2 den times the integral of the clipped chain's max.
+
+    The lines are over the denominator ``den``.  Integrating the convex
+    chain piece by piece and summing by parts gives F(1) plus (a1 - a2)^2
+    / (2 (v2 - v1)) per breakpoint between lines (v1, a1) and (v2, a2),
+    where F is the antiderivative a*t + v*t^2/2 of the line carrying t = 1.
+    """
+    v, a = chain[-1]
+    num, d = 2 * a + v, 1
+    for (v1, a1), (v2, a2) in zip(chain, chain[1:]):
+        dv, da = v2 - v1, a1 - a2
+        g = math.gcd(d, dv)
+        num = num * (dv // g) + da * da * (d // g)
+        d = d // g * dv
+    return num, d
+
+
+def _chains_area(upper: tuple[int, int], lower: tuple[int, int], den: int) -> Fraction:
+    """Span area of members from the ``_chain_term`` of their two clipped chains.
+
+    ``upper`` is the term of ``_upper_chain`` of the members' lines and
+    ``lower`` that of their mirrored lines, the lines being over the
+    denominator ``den``: the span area is the integral of the upper chain
+    plus that of the mirrored one.
+    """
+    (p, q), (r, s) = upper, lower
+    return Fraction(p * s + r * q, 2 * den * q * s)
 
 
 def _pair_terms(d0, d1):
@@ -411,7 +457,7 @@ class SpanKernel:
             return _ZERO
         area = self.spans.get(mask)
         if area is None:
-            area = self.spans[mask] = _chains_area(*self.chains(mask), self.den)
+            area = self.spans[mask] = _chains_area(*map(_chain_term, self.chains(mask)), self.den)
         return area
 
     def chains(self, mask: int) -> tuple[list, list]:

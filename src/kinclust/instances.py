@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 
-from .geometry import ScalarLike, Trajectory, TrajectorySet, as_scalar
+from .geometry import ScalarLike, Trajectory, TrajectorySet, _shown, as_scalar
 
 
 class InstanceError(ValueError):
@@ -63,7 +63,8 @@ def parse_instance(data: bytes | str) -> TrajectorySet:
     """Parse an instance document into an exact TrajectorySet.
 
     Index order follows file order.  Errors carry the offending location
-    (JSON line/column, or the trajectory index and field).
+    (JSON line/column, or the trajectory index and field); a literal that
+    cannot be parsed is echoed up to its first 40 characters and its length.
     """
     doc = load_json(data)
     if not isinstance(doc, dict):
@@ -91,7 +92,7 @@ def parse_instance(data: bytes | str) -> TrajectorySet:
             try:
                 values[field] = as_scalar(raw)
             except ValueError as e:
-                raise InstanceError(f"trajectories[{i}].{field}: cannot parse {raw!r}") from e
+                raise InstanceError(f"trajectories[{i}].{field}: cannot parse {_shown(raw)}") from e
         trajectories.append(Trajectory(values["x0"], values["x1"]))
     try:
         return TrajectorySet(tuple(trajectories))

@@ -40,6 +40,8 @@ from .geometry import (
     SpanKernel,
     TrajectorySet,
     _ZERO,
+    _beats,
+    _chain_term,
     _chains_area,
     _upper_chain,
     check_k,
@@ -281,20 +283,24 @@ class ChainTable:
     masks.
 
     A block's area is read from the kernel's span memo when the memo has
-    it.  Otherwise it is computed from the block's two clipped chains (see
-    ``geometry._upper_chain``) and written into the memo; a block of one
-    member has one-line chains and, as in ``span_area``, area 0.  The
-    chains are inherited.  The parent of the block of superset s is the
-    block of the first superset of e one member smaller than s, in
-    canonical order and read off ``succ``, whose chains are known, and the
-    block's chains are the parent's with the missing member's line added,
-    run through ``_upper_chain`` again.  That is exact: a line not on the
+    it.  Otherwise it is computed from the ``_chain_term`` of the block's
+    two clipped chains (see ``geometry._upper_chain`` and
+    ``_chains_area``) and written into the memo; a block of one member has
+    one-line chains and, as in ``span_area``, area 0.  The chains are
+    inherited.  The parent of the block of superset s is the block of the
+    first superset of e one member smaller than s, in canonical order and
+    read off ``succ``, whose chains are known.  A chain that the missing
+    member's line beats somewhere inside (0, 1) (``geometry._beats``) is
+    the parent's with that line added, run through ``_upper_chain`` again,
+    and its term is integrated anew; the other chain and its term are the
+    parent's, shared by reference.  That is exact: a line not on the
     parent's chain never carries the maximum inside (0, 1), and adding a
     line cannot change that.  A block with no such parent, or whose
     parents were all read from the memo and so have no chains, starts
     from all of its lines (``SpanKernel.chains``, as in ``span_area``).
-    The chains are transient: those of row e's blocks, at most one pair
-    per superset, are kept while the row is filled and dropped with it.
+    The chains and terms are transient: those of row e's blocks, at most
+    one set per superset, are kept while the row is filled and dropped
+    with it.
     Building a table raises ValueError, before computing any area, when
     the poset's order refuses to build past MAX_CHAIN_PAIRS comparable
     pairs (see ``SeparatorPoset``).
@@ -303,7 +309,8 @@ class ChainTable:
     well-separated j-clustering of each element's complement, as reduced
     (num, den) pairs, and the superset each element's best value steps to
     (element indices; layer 1 has none).  Layer j depends on layer j-1
-    only, so a layer computed for one k serves every larger k.  Layers are
+    only, so a layer computed for one k serves every larger k; ``step``
+    gives one element's entry of the next layer.  Layers are
     stored with ``dict.setdefault``: threads racing on one instance may
     compute a layer twice, but every thread reads the same stored one.
     """
@@ -326,13 +333,18 @@ class ChainTable:
                 if sizes[s] != size:
                     break
                 below[s].append((p, n - (masks[s] ^ C).bit_length()))
-        get = spans.get
+        get, den = spans.get, kernel.den
+        # A one-member block's chains and terms, by member.
+        single = [
+            ((u,), (w,), _chain_term((u,)), _chain_term((w,))) for u, w in zip(lines, mirrors)
+        ]
         nums, dens = [], []
         for e, (C, sups) in enumerate(zip(masks, succ)):
-            # The clipped chains of e's blocks by superset, kept for the row;
-            # below[s] names only elements one member smaller than s, so a
-            # lookup in them finds exactly s's possible parents.  Every
-            # superset from here on comes after e, so below[e] is read no more.
+            # (upper, lower, upper term, lower term) of e's blocks by superset,
+            # kept for the row; below[s] names only elements one member smaller
+            # than s, so a lookup in them finds exactly s's possible parents.
+            # Every superset from here on comes after e, so below[e] is read
+            # no more.
             chains = {}
             below[e] = None
             areas = []
@@ -340,8 +352,7 @@ class ChainTable:
                 D = masks[s] ^ C
                 if not D & (D - 1):
                     # One member: one-line chains and, as in span_area, area 0.
-                    i = n - D.bit_length()
-                    chains[s] = ((lines[i],), (mirrors[i],))
+                    chains[s] = single[n - D.bit_length()]
                     areas.append(_ZERO)
                     continue
                 area = get(D)
@@ -349,13 +360,20 @@ class ChainTable:
                     for p, i in below[s]:
                         parent = chains.get(p)
                         if parent is not None:
-                            upper = _upper_chain(sorted((*parent[0], lines[i])))
-                            lower = _upper_chain(sorted((*parent[1], mirrors[i])))
+                            # Only a chain the new line beats changes.
+                            upper, lower, up, low = parent
+                            if _beats(upper, lines[i]):
+                                upper = _upper_chain(sorted((*upper, lines[i])))
+                                up = _chain_term(upper)
+                            if _beats(lower, mirrors[i]):
+                                lower = _upper_chain(sorted((*lower, mirrors[i])))
+                                low = _chain_term(lower)
                             break
                     else:
                         upper, lower = kernel.chains(D)
-                    chains[s] = (upper, lower)
-                    area = spans[D] = _chains_area(upper, lower, kernel.den)
+                        up, low = _chain_term(upper), _chain_term(lower)
+                    chains[s] = (upper, lower, up, low)
+                    area = spans[D] = _chains_area(up, low, den)
                 areas.append(area)
             nums.append(tuple([area.numerator for area in areas]))
             dens.append(tuple([area.denominator for area in areas]))
@@ -374,36 +392,34 @@ class ChainTable:
             key = (objective, j)
             layer = self.layers.get(key)
             if layer is None:
-                layer = self.layers.setdefault(key, self._layer(objective, layers[-1][0]))
+                steps = [self.step(objective, layers[-1][0], e) for e in range(len(self.succ))]
+                layer = self.layers.setdefault(key, ([v for v, _ in steps], [s for _, s in steps]))
             layers.append(layer)
         return layers
 
-    def _layer(self, objective: Objective, prev: list) -> tuple[list, list]:
-        """The layer after the one with values ``prev``.
+    def step(self, objective: Objective, prev: list, e: int) -> tuple[tuple[int, int], int]:
+        """Element e's value and superset in the layer after the one with values ``prev``.
 
-        Each element takes the first superset, in canonical order, with
-        the least combined value of block and ``prev``: their sum, or
-        their max.  Fractions compare by cross-multiplication; a sum is
-        reduced once per element, and a max is one of two reduced values.
+        e takes the first superset, in canonical order, with the least
+        combined value of block and ``prev``: their sum, or their max.
+        Fractions compare by cross-multiplication; a sum is reduced once,
+        and a max is one of two reduced values.  The full set has no
+        superset and takes value 0 and superset -1.
         """
         add = objective == "sd"
-        values, choice = [], []
-        for succ, nums, dens in zip(self.succ, self.nums, self.dens):
-            best_num, best_den, best = 0, 1, -1
-            for s, num, den in zip(succ, nums, dens):
-                prev_num, prev_den = prev[s]
-                if add:
-                    num, den = num * prev_den + prev_num * den, den * prev_den
-                elif num * prev_den < prev_num * den:
-                    num, den = prev_num, prev_den
-                if best < 0 or num * best_den < best_num * den:
-                    best_num, best_den, best = num, den, s
+        best_num, best_den, best = 0, 1, -1
+        for s, num, den in zip(self.succ[e], self.nums[e], self.dens[e]):
+            prev_num, prev_den = prev[s]
             if add:
-                g = gcd(best_num, best_den)
-                best_num, best_den = best_num // g, best_den // g
-            values.append((best_num, best_den))
-            choice.append(best)
-        return values, choice
+                num, den = num * prev_den + prev_num * den, den * prev_den
+            elif num * prev_den < prev_num * den:
+                num, den = prev_num, prev_den
+            if best < 0 or num * best_den < best_num * den:
+                best_num, best_den, best = num, den, s
+        if add:
+            g = gcd(best_num, best_den)
+            best_num, best_den = best_num // g, best_den // g
+        return (best_num, best_den), best
 
 
 def _wellsep_chain_dp(S: TrajectorySet, k: int, objective: Objective) -> Solution:
@@ -413,7 +429,9 @@ def _wellsep_chain_dp(S: TrajectorySet, k: int, objective: Objective) -> Solutio
     complement of C, taken over chains of strictly nested side-sets.  A
     chain may reach the full set early, in which case the remaining
     clusters are empty and the result has fewer than k nonempty clusters.
-    The layers come from the instance's chain table, built on first use.
+    The layers up to k - 1 come from the instance's chain table, built on
+    first use; of layer k only the empty set's entry is read, so it is one
+    ``step`` from layer k - 1 and is not stored.
     """
     check_k(k, len(S))
 
@@ -421,7 +439,10 @@ def _wellsep_chain_dp(S: TrajectorySet, k: int, objective: Objective) -> Solutio
     table = kernel.chain_table
     if table is None:
         table = kernel.chain_table = ChainTable(kernel, build_poset(S, compute_holes(S)))
-    layers = table.layers_upto(objective, k)
+    layers = table.layers_upto(objective, k - 1)
+    if k > 1:
+        value, e = table.step(objective, layers[-1][0], 0)
+        layers.append(([value], [e]))  # layer k's entry for the empty set alone
     masks = table.masks
     full = len(masks) - 1
 

@@ -143,6 +143,48 @@ class TestAsScalar:
         with pytest.raises(ValueError, match="zero denominator"):
             as_scalar(raw)
 
+    @pytest.mark.parametrize(
+        "raw",
+        ["1" * 5000, "1/" + "1" * 4301, "." + "5" * 4301, "1e" + "0" * 4301],
+        ids=["whole", "denominator", "fraction", "exponent"],
+    )
+    def test_digit_string_past_4300_digits_rejected(self, raw):
+        # Bounded before any int is built, so CPython's own int-string
+        # limit, and its message, is never reached.
+        with pytest.raises(ValueError, match="more than 4300 digits") as err:
+            as_scalar(raw)
+        assert "set_int_max_str_digits" not in str(err.value)
+
+    def test_digit_strings_at_4300_digits_parse(self):
+        assert as_scalar("1" * 4300) == int("1" * 4300)
+        assert as_scalar("1." + "0" * 4300) == 1
+        assert as_scalar("1e" + "0" * 4299 + "1") == 10
+
+    def test_long_invalid_literal_echoed_in_part(self):
+        with pytest.raises(ValueError, match=r"'x{40}'… \(100000 characters\)$"):
+            as_scalar("x" * 100_000)
+
+    def test_grammar_valid_literals_parse_as_fraction_does(self):
+        # Fraction(text) is the referee on the literals both grammars accept.
+        rng = random.Random(2801)
+
+        def digits(lo, hi):
+            return "".join(rng.choice("0123456789") for _ in range(rng.randint(lo, hi)))
+
+        for _ in range(5000):
+            sign = rng.choice(["", "-", "+"])
+            whole, frac = digits(1, 8), digits(1, 8)
+            if rng.random() < 0.3:
+                if not int(frac):
+                    continue
+                text = f"{sign}{whole}/{frac}"
+            else:
+                text = sign + rng.choice([whole, whole + ".", f"{whole}.{frac}", "." + frac])
+                if rng.random() < 0.5:
+                    text += rng.choice("eE") + rng.choice(["", "-", "+"]) + digits(1, 3)
+            padded = rng.choice(["", " ", "\t"]) + text + rng.choice(["", " ", "\n"])
+            assert as_scalar(padded) == Fraction(text), text
+
 
 class TestTrajectorySet:
     @pytest.mark.parametrize(

@@ -83,6 +83,14 @@ class TestParse:
         assert parse_instance(dumps_instance(S)) == S
 
 
+    @pytest.mark.parametrize("raw", ["1" * 100_000, "x" * 100_000], ids=["digits", "letters"])
+    def test_long_literal_echoed_in_part(self, raw):
+        doc = '{"trajectories":[{"x0":"%s","x1":"2"}]}' % raw
+        with pytest.raises(InstanceError, match=r"^trajectories\[0\]\.x0: cannot parse") as err:
+            parse_instance(doc)
+        assert len(str(err.value)) < 200
+        assert str(err.value).endswith("… (100000 characters)")
+
     def test_duplicate_rows_rejected(self):
         doc = '{"trajectories":[{"x0":"1","x1":"2"},{"x0":"1","x1":"2"}]}'
         with pytest.raises(InstanceError, match="duplicate"):

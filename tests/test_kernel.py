@@ -38,7 +38,7 @@ from kinclust import (
     sd_exact_goodseq,
     sd_wellsep_dp,
 )
-from kinclust.geometry import SpanKernel, _picked, _span_side
+from kinclust.geometry import SpanKernel, _beats, _picked, _span_side, _upper_chain
 from kinclust.oracle import (
     bottom_leftmost_index,
     envelope_grid,
@@ -46,6 +46,7 @@ from kinclust.oracle import (
     poset_by_inclusion,
     span_area_grid,
 )
+from kinclust import sum_diameter
 from kinclust.sum_diameter import ChainTable
 
 from conftest import (
@@ -353,6 +354,27 @@ class TestChainTableMatchesSpanArea:
         self.check(lambda: TrajectorySet.from_pairs(pairs), warm=True)
 
 
+class TestBeats:
+    """``_beats`` decides whether adding a line changes a clipped chain."""
+
+    def test_agrees_with_a_rebuild(self):
+        # Slopes and intercepts in [-3, 3] make parallel lines, lines through
+        # a breakpoint, and touches at t = 0 and t = 1 common.
+        rng = random.Random(2800)
+        values = range(-3, 4)
+        changed = 0
+        for _ in range(20000):
+            lines = rng.sample([(v, a) for v in values for a in values], rng.randint(2, 7))
+            line, rest = lines[0], sorted(lines[1:])
+            chain = _upper_chain(rest)
+            rebuilt = _upper_chain(sorted((*chain, line)))
+            assert _beats(chain, line) == (rebuilt != chain)
+            # The rebuild from the clipped chain is the chain of all the lines.
+            assert rebuilt == _upper_chain(sorted(lines))
+            changed += rebuilt != chain
+        assert 2000 < changed < 18000
+
+
 class TestChainTableInheritance:
     """The table finds its blocks' parents; the areas alone would not show it."""
 
@@ -373,6 +395,31 @@ class TestChainTableInheritance:
         monkeypatch.setattr(SpanKernel, "chains", counted)
         ChainTable(S.kernel, poset)
         assert 0 < calls <= pairs * 2 // 100
+
+    def test_inherited_blocks_rebuild_about_one_chain(self, monkeypatch):
+        # On the instance above, a cold table rebuilds 9,448 chains for its
+        # 8,571 inherited blocks: the new line beats only one of the parent's
+        # two chains in most blocks.  Rebuilding both is 2 per block.
+        S = generate_instance(GeneratorConfig(seed=3, n=32))
+        poset = build_poset(S, compute_holes(S))
+        rebuilds = fresh = 0
+        rebuild, chains = sum_diameter._upper_chain, SpanKernel.chains
+
+        def counted_rebuild(lines):
+            nonlocal rebuilds
+            rebuilds += 1
+            return rebuild(lines)
+
+        def counted_fresh(kernel, D):
+            nonlocal fresh
+            fresh += 1
+            return chains(kernel, D)
+
+        monkeypatch.setattr(sum_diameter, "_upper_chain", counted_rebuild)
+        monkeypatch.setattr(SpanKernel, "chains", counted_fresh)
+        ChainTable(S.kernel, poset)
+        inherited = len(S.kernel.spans) - fresh
+        assert 0 < rebuilds <= inherited * 6 // 5
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_succ_rows_run_by_size(self, n):

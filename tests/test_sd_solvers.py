@@ -515,3 +515,15 @@ class TestWellSeparatedDpMatchesSetReferee:
                 sol = WELLSEP_DP[objective](S, k)
                 assert sol == WELLSEP_DP[objective](make_instance(4300, 14), k)
                 assert sol == wellsep_dp_by_sets(make_instance(4300, 14), k, objective)
+
+    def test_ascending_k_builds_each_layer_when_a_larger_k_needs_it(self):
+        # k reads layers 1..k-1 and takes one step from the empty set for
+        # layer k, which is not stored; the next k builds it from the table.
+        S = make_instance(4301, 16)
+        for objective in ("sd", "md"):
+            for k in range(1, 7):
+                sol = WELLSEP_DP[objective](S, k)
+                assert sol == WELLSEP_DP[objective](make_instance(4301, 16), k), (objective, k)
+                assert sol == wellsep_dp_by_sets(make_instance(4301, 16), k, objective)
+            layers = S.kernel.chain_table.layers
+            assert (objective, 5) in layers and (objective, 6) not in layers
