@@ -18,12 +18,9 @@ from math import gcd
 from operator import and_
 from typing import Iterable, Literal, NamedTuple
 
-from .geometry import TrajectorySet, _mask_members, _picked
+from .geometry import TrajectorySet, _ONE, _ZERO, _mask_members, _picked
 
 HoleKind = Literal["bounded", "unbounded_left", "unbounded_right"]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # Most left-set members the hole table may hold, bounded as (n + 1 +
 # crossings) * n while the sweep counts the crossings in (0, 1); past the
@@ -155,7 +152,7 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
     # Correctly rounded division is monotone, so the float decides the
     # order and the exact time only breaks ties between equal floats; no
     # two keys share a time, so the member sets are never compared.
-    events = sorted([(p / q, Fraction(p, q), p, q, members) for (p, q), members in crossing.items()])
+    events = sorted([(p / q, Fraction(p, q), members) for (p, q), members in crossing.items()])
 
     # Left-to-right order just after t=0, by position at 0, then slope.
     order = list(kernel.leftmost)
@@ -175,7 +172,7 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
         faces.append([prefix, n, _ZERO, None])
     opened = faces[:]
 
-    for _, t, p, q, members in events:
+    for _, t, members in events:
         if len(members) == 2:
             # The one crossing at t swaps two neighbours: only the prefix
             # of size lo + 1 changes, by the line now at lo.
@@ -190,7 +187,8 @@ def _sweep_holes(S: TrajectorySet) -> tuple[Hole, ...]:
             faces.append(face)
             continue
         # Lines through one crossing point are adjacent in the order and
-        # share their position at t, the integer a*q + v*p over den*q.
+        # share their position at t = p/q, the integer a*q + v*p over den*q.
+        p, q = t.numerator, t.denominator
         members = sorted(members, key=place.__getitem__)
         for _, pencil in groupby(members, key=lambda i: lines[i][1] * q + lines[i][0] * p):
             pencil = list(pencil)

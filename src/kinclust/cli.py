@@ -3,8 +3,8 @@
 Subcommands: ``holes`` (face table), ``sd`` and ``md`` (solvers), ``gen``
 (seeded instance generator), ``render`` (SVG).  Exit codes: 0 on success,
 1 on any input or usage error.  A command builds its whole text before it
-writes any, so a value that cannot be written (an int past CPython's
-4300-digit ``str`` limit) leaves stdout empty.
+writes any, so a value too long to print (a numerator or denominator of
+more than ``geometry.MAX_EXPONENT`` = 4300 digits) leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .arrangement import compute_holes
-from .geometry import TrajectorySet, diameter
+from .geometry import TrajectorySet, _printable, diameter
 from .instances import (
     GeneratorConfig,
     InstanceError,
@@ -50,8 +50,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _text(v: Fraction) -> str:
+    """str(v), or ValueError naming the library's digit bound, not the interpreter's."""
+    return str(_printable(v))
+
+
 def _fmt(v: Fraction) -> str:
-    return f"{v} ({scalar_decimal(v)})"
+    return f"{_text(v)} ({scalar_decimal(v)})"
 
 
 def _load(path: str) -> TrajectorySet:
@@ -64,7 +69,7 @@ def _cmd_holes(args) -> int:
     lines = [f"{len(holes)} holes"]
     for h in holes:
         left = "{" + ", ".join(str(i) for i in sorted(h.left_set)) + "}"
-        lines.append(f"left={left} t=({h.t_lo}, {h.t_hi}) {h.kind}")
+        lines.append(f"left={left} t=({_text(h.t_lo)}, {_text(h.t_hi)}) {h.kind}")
     print(*lines, sep="\n")
     return 0
 

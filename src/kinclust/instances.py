@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 
-from .geometry import ScalarLike, Trajectory, TrajectorySet, _shown, as_scalar
+from .geometry import MAX_EXPONENT, ScalarLike, Trajectory, TrajectorySet, _shown, as_scalar
 
 
 class InstanceError(ValueError):
@@ -46,16 +46,27 @@ def scalar_decimal(v: Fraction) -> str:
         return str(Decimal(v.numerator) / Decimal(v.denominator))
 
 
+def _json_int(literal: str) -> int:
+    """int(literal), refused past MAX_EXPONENT digits (sign excluded) before it is built.
+
+    CPython 3.10.7 and later would refuse it naming an interpreter setting,
+    and earlier versions would build it.
+    """
+    if len(literal) - literal.startswith("-") > MAX_EXPONENT:
+        raise ValueError(f"an integer of more than {MAX_EXPONENT} digits")
+    return int(literal)
+
+
 def load_json(data: bytes | str):
-    """The value of a JSON document; InstanceError if it is malformed or nested too deeply."""
+    """The value of a JSON document; InstanceError if malformed, too deep or an int is too long."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as e:
         raise InstanceError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
     except RecursionError:
         raise InstanceError("JSON document nested too deeply") from None
-    except ValueError as e:  # an int literal past CPython's digit limit
+    except ValueError as e:  # an integer literal that _json_int refuses
         raise InstanceError(f"invalid JSON: {e}") from e
 
 
@@ -96,7 +107,7 @@ def parse_instance(data: bytes | str) -> TrajectorySet:
         trajectories.append(Trajectory(values["x0"], values["x1"]))
     try:
         return TrajectorySet(tuple(trajectories))
-    except ValueError as e:  # an int literal past CPython's digit limit
+    except ValueError as e:  # a duplicate trajectory; each coordinate is already bounded
         raise InstanceError(str(e)) from e
 
 
@@ -156,19 +167,15 @@ def generate_instance(cfg: GeneratorConfig) -> TrajectorySet:
             f"grid supports only {capacity} distinct trajectories, need {cfg.n}"
         )
 
-    seen = set()
-    out = []
+    # Distinct grid points are distinct trajectories: the dict keeps each
+    # drawn point once, in first-drawn order, and needs no Fraction.
+    points: dict[tuple[int, int], None] = {}
     attempts = 0
-    while len(out) < cfg.n:
+    while len(points) < cfg.n:
         attempts += 1
         if attempts > 1000 * cfg.n + 100000:
             raise InstanceError("sampling failed to find enough distinct trajectories")
-        # Distinct grid points are distinct trajectories, so the check needs
-        # no Fraction.
-        point = (rng.randint(x_lo, x_hi), rng.randint(v_lo, v_hi))
-        if point in seen:
-            continue
-        seen.add(point)
-        x0 = Fraction(point[0], cfg.grid)
-        out.append(Trajectory(x0, x0 + Fraction(point[1], cfg.grid)))
-    return TrajectorySet(tuple(out))
+        points.setdefault((rng.randint(x_lo, x_hi), rng.randint(v_lo, v_hi)))
+    return TrajectorySet(
+        tuple(Trajectory(Fraction(x, cfg.grid), Fraction(x + v, cfg.grid)) for x, v in points)
+    )

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .arrangement import compute_holes
-from .geometry import TrajectorySet, _span_side, check_clustering, envelope
+from .geometry import TrajectorySet, _ONE, _ZERO, _span_side, check_clustering, envelope
 
 _WIDTH, _HEIGHT = 640, 480  # pixels
 _PALETTE = ("#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#b07aa1", "#76b7b2")
@@ -38,7 +38,7 @@ def render_svg(
 
     xs = [s.x0 for s in S] + [s.x1 for s in S]
     x_min, x_max = min(xs), max(xs)
-    pad = (x_max - x_min) / 20 if x_max > x_min else Fraction(1)
+    pad = (x_max - x_min) / 20 if x_max > x_min else _ONE
     x_min, x_max = x_min - pad, x_max + pad
     margin = 20.0
     # Pixels are floats: every coordinate and the range between the extremes
@@ -98,8 +98,8 @@ def render_svg(
 
     for s in S:
         parts.append(
-            f'<line class="trajectory" x1="{px(s.x0):.2f}" y1="{py(Fraction(0)):.2f}" '
-            f'x2="{px(s.x1):.2f}" y2="{py(Fraction(1)):.2f}" '
+            f'<line class="trajectory" x1="{px(s.x0):.2f}" y1="{py(_ZERO):.2f}" '
+            f'x2="{px(s.x1):.2f}" y2="{py(_ONE):.2f}" '
             f'stroke="#222222" stroke-width="1.5"/>'
         )
     parts.append("</svg>")

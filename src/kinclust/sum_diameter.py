@@ -28,7 +28,6 @@ from typing import Iterable
 from .arrangement import (
     Hole,
     SeparatorPoset,
-    _hole_mask,
     _straddles,
     build_poset,
     compute_holes,
@@ -44,6 +43,7 @@ from .geometry import (
     _chain_term,
     _chains_area,
     _upper_chain,
+    canonical_key,
     check_k,
     diameter,
     normalize_clustering,
@@ -76,7 +76,7 @@ class GoodSequence:
         faces = {h.mask: h for h in compute_holes(S)}
         current = {(1 << len(S)) - 1}
         for hole, cluster in self.steps:
-            L, C = _hole_mask(S, hole, "replay"), kernel.mask(cluster)
+            L, C = hole.mask, kernel.mask(cluster)
             if faces.get(L) != hole:
                 raise ValueError(
                     f"hole with left side {sorted(hole.left_set)} is not a hole of this instance"
@@ -153,13 +153,12 @@ def sd_exact_goodseq(S: TrajectorySet, k: int) -> Solution:
         """Canonical key of the best clustering of state (C, j)."""
         found = keys.get((C, j))
         if found is None:
-            leaves = [tuple(sorted(kernel.members(D))) for D, i in walk(C, j) if i == 1]
-            found = keys[C, j] = tuple(sorted(leaves))
+            found = keys[C, j] = canonical_key(kernel.members(D) for D, i in walk(C, j) if i == 1)
         return found
 
     def split_key(C: int, a: int, j1: int, j: int) -> tuple:
         """Key of splitting C into A with j1 clusters and C - A with j - j1."""
-        return tuple(sorted(key(a, j1) + key(C ^ a, j - j1)))
+        return canonical_key(key(a, j1) + key(C ^ a, j - j1))
 
     work = 0
 

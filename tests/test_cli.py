@@ -112,15 +112,22 @@ WIDE = (
 )
 
 
+# A value too long to print is refused by the library's own digit bound.
+TOO_LONG = "more than 4300 digits in a scalar's numerator or denominator"
+
+
 class TestWideCoordinates:
     @pytest.mark.parametrize(
         "argv, fragment",
         [
-            (["holes", "{file}"], "digits"),
+            (["holes", "{file}"], TOO_LONG),
             (["render", "{file}", "--holes", "-o", "{out}"], "does not fit in floats"),
-            (["sd", "exact", "{file}", "-k", "2"], "digits"),
-            (["md", "kcenter", "{file}", "-k", "2"], "digits"),
-            (["md", "wellsep", "{file}", "-k", "2"], "digits"),
+            (["sd", "exact", "{file}", "-k", "2"], TOO_LONG),
+            (["sd", "wellsep", "{file}", "-k", "2"], TOO_LONG),
+            (["sd", "brute", "{file}", "-k", "2"], TOO_LONG),
+            (["md", "kcenter", "{file}", "-k", "2"], TOO_LONG),
+            (["md", "wellsep", "{file}", "-k", "2"], TOO_LONG),
+            (["md", "brute", "{file}", "-k", "2"], TOO_LONG),
             (["md", "bsearch", "{file}", "-k", "2"], "MAX_BSEARCH_ROUNDS"),
         ],
         ids=lambda arg: " ".join(arg[:2]) if isinstance(arg, list) else "",
@@ -132,6 +139,8 @@ class TestWideCoordinates:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert_one_error_line(captured.err, fragment)
+        assert len(captured.err.encode()) < 200
+        assert "set_int_max_str_digits" not in captured.err
         assert not out.exists()
 
 

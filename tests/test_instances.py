@@ -1,5 +1,7 @@
 """Instance document parsing, exact text forms, and the seeded generator."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from kinclust import (
     GeneratorConfig,
     InstanceError,
     Trajectory,
+    TrajectorySet,
     dumps_instance,
     generate_instance,
     parse_instance,
@@ -55,10 +58,11 @@ class TestParse:
             ('{"name": 3, "trajectories":[{"x0":"0","x1":"1"}]}', "name"),
             # json raises RecursionError here, not JSONDecodeError.
             pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="deep-nesting"),
-            # ... and a plain ValueError on an int literal past 4300 digits.
+            # ... and an int literal past 4300 digits, by the library's bound
+            # on every Python version.
             pytest.param(
                 '{"pad": 1' + "0" * 5000 + ', "trajectories":[{"x0":"0","x1":"1"}]}',
-                "invalid JSON",
+                "invalid JSON: an integer of more than 4300 digits",
                 id="int-past-digit-limit",
             ),
         ],
@@ -67,6 +71,14 @@ class TestParse:
         with pytest.raises(InstanceError, match=None) as err:
             parse_instance(doc)
         assert fragment in str(err.value)
+        assert "set_int_max_str_digits" not in str(err.value)
+
+    def test_json_integers_of_4300_digits_load(self):
+        digits = "9" * 4300
+        doc = '{"pad": [%s, -%s], "trajectories":[{"x0":"0","x1":"1"}]}' % (digits, digits)
+        assert parse_instance(doc) == parse_instance('{"trajectories":[{"x0":"0","x1":"1"}]}')
+        with pytest.raises(InstanceError, match="more than 4300 digits"):
+            parse_instance(doc.replace("-", "-9", 1))
 
     @pytest.mark.parametrize(
         "raw", ["1e4301", "1e-4301", "-2.5E+4301", "1e00004_301", "1e4300", "1e-4300", "12e4299"]
@@ -125,7 +137,38 @@ class TestScalarText:
         assert scalar_decimal(Fraction(-1, 8)) == "-0.125"
 
 
+def seen_set_sample(cfg: GeneratorConfig) -> TrajectorySet:
+    """The generator's sampling loop as a set of drawn points and a list: the referee."""
+    rng = random.Random(cfg.seed)
+    (x_lo, x_hi), (v_lo, v_hi) = (
+        (math.ceil(lo * cfg.grid), math.floor(hi * cfg.grid))
+        for lo, hi in (cfg.x0_range, cfg.slope_range)
+    )
+    seen, out = set(), []
+    while len(out) < cfg.n:
+        point = (rng.randint(x_lo, x_hi), rng.randint(v_lo, v_hi))
+        if point in seen:
+            continue
+        seen.add(point)
+        x0 = Fraction(point[0], cfg.grid)
+        out.append(Trajectory(x0, x0 + Fraction(point[1], cfg.grid)))
+    return TrajectorySet(tuple(out))
+
+
 class TestGenerator:
+    @pytest.mark.parametrize("grid", [1, 10, 1000])
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_matches_the_seen_set_referee(self, n, grid):
+        for seed in range(1, 21):
+            cfg = GeneratorConfig(seed=seed, n=n, grid=grid)
+            assert generate_instance(cfg).trajectories == seen_set_sample(cfg).trajectories
+
+    def test_matches_the_seen_set_referee_at_full_capacity(self):
+        cfg = GeneratorConfig(seed=1, n=4, x0_range=(0, 1), slope_range=(0, 1), grid=1)
+        S = generate_instance(cfg)
+        assert S.trajectories == seen_set_sample(cfg).trajectories
+        assert sorted((s.x0, s.velocity) for s in S) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
     def test_deterministic(self):
         cfg = GeneratorConfig(seed=9, n=8)
         assert generate_instance(cfg) == generate_instance(cfg)
